@@ -1,13 +1,14 @@
 # Tier-1 verification for the SPIFFI simulator. `make verify` is what CI
-# (and pre-commit discipline) runs: build, vet, the full test suite, and
-# a race-detector pass in short mode. The simulation-heavy experiment
-# tests skip themselves under -short, but the parallel-runner coverage
-# (core search parity and the fig09 worker-determinism check) does not,
-# so the race pass always exercises multi-worker execution.
+# (and pre-commit discipline) runs: build, vet, a gofmt check, the full
+# test suite, a race-detector pass in short mode, and the benchmark's
+# short tests. The simulation-heavy experiment tests skip themselves
+# under -short, but the parallel-runner coverage (core search parity and
+# the fig09 worker-determinism check) does not, so the race pass always
+# exercises multi-worker execution.
 
 GO ?= go
 
-.PHONY: all build vet test race determinism verify bench bench-workers bench-snapshot trace-guard trace-demo staticcheck govulncheck chaos chaos-soak doc-check fuzz-workload fuzz-seed
+.PHONY: all build vet fmt-check test race determinism verify bench bench-test trace-guard trace-demo staticcheck govulncheck chaos chaos-soak doc-check fuzz-workload fuzz-seed
 
 all: verify
 
@@ -16,6 +17,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails listing any Go file gofmt would rewrite (the benchmark's
+# .bench_build/ caches excepted).
+fmt-check:
+	@out=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test -timeout 30m ./...
@@ -79,7 +86,7 @@ fuzz-seed:
 fuzz-workload:
 	$(GO) test -fuzz FuzzWorkloadSchedule -fuzztime 30s ./internal/workload/
 
-verify: build vet staticcheck govulncheck test race trace-guard chaos-soak fuzz-seed doc-check
+verify: build vet fmt-check staticcheck govulncheck test race trace-guard chaos-soak fuzz-seed doc-check bench-test
 
 # Seeded chaos suite under the race detector: fault injection, overload
 # control, admission, retry and rebuild tests (FAULTS.md, OVERLOAD.md).
@@ -94,16 +101,13 @@ chaos:
 trace-demo:
 	$(GO) run ./examples/tracing
 
+# The repo benchmark (bench/README.md): four simulator workloads with
+# end-to-end and per-layer metrics, one JSON result line at the end.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+	bash bench/run.sh
 
-# 1-worker vs GOMAXPROCS-worker quick-fidelity sweep (see bench_test.go).
-bench-workers:
-	$(GO) test -bench QuickWorkers -benchtime 1x -timeout 60m -run '^$$' .
-
-# Committed perf trajectory (ROADMAP): write the BENCH_<pr>.json
-# snapshot — single-run throughput (untraced + traced) and the fig11
-# worker-scaling speedup. Set BENCH_OUT to name the data point.
-BENCH_OUT ?= BENCH_9.json
-bench-snapshot:
-	$(GO) run ./cmd/spiffi-benchsnap -out $(BENCH_OUT)
+# bench/ is a module of its own, so the root `go test ./...` does not
+# reach it. Its short tests check the pinned golden digests and that it
+# still builds against the simulator packages.
+bench-test:
+	cd bench && $(GO) test -short ./...

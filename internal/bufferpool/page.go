@@ -61,9 +61,6 @@ type Page struct {
 // Valid reports whether the page's data has arrived.
 func (pg *Page) Valid() bool { return pg.state == stateValid }
 
-// Pinned reports whether the page is pinned.
-func (pg *Page) Pinned() bool { return pg.pin > 0 }
-
 // Prefetched reports whether the page sits on the prefetched chain.
 func (pg *Page) Prefetched() bool { return pg.prefetched }
 

@@ -291,7 +291,7 @@ func (c Config) Normalize() Config {
 			c.RetryBackoff = 200 * sim.Millisecond
 		}
 	}
-	c.Overload = c.Overload.Normalize(c.StripePlayTime())
+	c.Overload = c.Overload.Normalize()
 	c.Cache = c.Cache.Normalize()
 	c.Workload = c.Workload.Normalize()
 	return c

@@ -162,7 +162,7 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		s.adm.SetPatience(ov.Patience)
 		s.adm.SetTrace(s.rec)
 		if ov.Adaptive || ov.Shed {
-			s.over = overload.NewController(s.k, ov, cfg.TotalDisks())
+			s.over = overload.NewController(s.k, ov, cfg.TotalDisks(), cfg.StripePlayTime())
 			s.over.SetLimiter(s.adm)
 			s.over.SetTrace(s.rec)
 			s.over.SetRejoinWarmup(cfg.RejoinWarmup)
@@ -258,7 +258,6 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		// Assigned only when non-nil: a typed-nil *Controller in the
 		// interface field would pass the != nil checks in the terminal.
 		tcfg.Admission = s.adm
-		tcfg.AdmitRetryDelay = ov.RetryDelay
 	}
 	if s.piggy != nil {
 		tcfg.Gate = s.piggy

@@ -5,11 +5,7 @@
 // receiving one (2200), values measured on the Intel Paragon.
 package cpu
 
-import (
-	"fmt"
-
-	"spiffi/internal/sim"
-)
+import "spiffi/internal/sim"
 
 // Costs holds instruction counts for the charged operations.
 type Costs struct {
@@ -36,7 +32,7 @@ func New(k *sim.Kernel, id int, mips float64, costs Costs) *CPU {
 		panic("cpu: non-positive MIPS")
 	}
 	return &CPU{
-		fac:   sim.NewFacility(k, fmt.Sprintf("cpu-%d", id)),
+		fac:   sim.NewFacility(k, "cpu"),
 		mips:  mips,
 		costs: costs,
 	}

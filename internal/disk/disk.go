@@ -9,7 +9,6 @@
 package disk
 
 import (
-	"fmt"
 	"math"
 
 	"spiffi/internal/dsched"
@@ -155,7 +154,7 @@ func New(k *sim.Kernel, id int, params Params, sched dsched.Scheduler, src *rng.
 		onComplete: onComplete,
 		contexts:   make([]cacheContext, params.CacheContexts),
 	}
-	k.Spawn(fmt.Sprintf("disk-%d", id), d.run)
+	k.Spawn("disk", d.run)
 	return d
 }
 
@@ -205,9 +204,6 @@ func (d *Disk) SetRepairHook(fn func(downtime sim.Duration)) { d.repairHook = fn
 // Scheduler exposes the queue discipline (used by tests and by the server
 // to tighten deadlines of queued prefetches).
 func (d *Disk) Scheduler() dsched.Scheduler { return d.sched }
-
-// QueueLen reports the number of requests waiting (not in service).
-func (d *Disk) QueueLen() int { return d.sched.Len() }
 
 // Submit enqueues a request. The request's Cylinder is derived from its
 // Offset here so issuers never have to know disk geometry. Submitting to a

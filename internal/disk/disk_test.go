@@ -232,24 +232,6 @@ func TestDeterministicService(t *testing.T) {
 	}
 }
 
-func BenchmarkDiskService(b *testing.B) {
-	k := sim.NewKernel()
-	defer k.Close()
-	served := 0
-	d := New(k, 0, DefaultParams(), dsched.NewElevator(), rng.New(1), func(r *dsched.Request) {
-		served++
-	})
-	k.At(0, func() {
-		for i := 0; i < b.N; i++ {
-			d.Submit(&dsched.Request{Offset: int64(i%4000) * 1_250_000, Size: 512 * 1024})
-		}
-	})
-	b.ResetTimer()
-	if err := k.RunAll(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 func TestFaultInjectionSlowsService(t *testing.T) {
 	run := func(inject bool) sim.Duration {
 		k := sim.NewKernel()

@@ -407,27 +407,3 @@ func TestEmptySchedulersReturnNil(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkRealTimeNext(b *testing.B) {
-	rt := NewRealTime(3, 4*sim.Second)
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 16; j++ {
-			rt.Add(req(j*100, j, sim.Time(j)*sim.Time(sim.Second)))
-		}
-		for rt.Len() > 0 {
-			rt.Next(0, 0)
-		}
-	}
-}
-
-func BenchmarkElevatorNext(b *testing.B) {
-	e := NewElevator()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 16; j++ {
-			e.Add(req(j*100, j, 0))
-		}
-		for e.Len() > 0 {
-			e.Next(0, 0)
-		}
-	}
-}

@@ -2,8 +2,54 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
 	"testing"
 )
+
+// updateGolden rewrites goldenPath from this run instead of checking it:
+// go test ./internal/experiments/ -run DeterminismAcrossWorkers -update-golden
+var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenPath+" from this run")
+
+// goldenPath pins, per registry id, the SHA-256 of the workers=1
+// canonical Result JSON that TestDeterminismAcrossWorkers builds.
+const goldenPath = "testdata/golden.json"
+
+func loadGolden(t *testing.T) map[string]string {
+	t.Helper()
+	g := map[string]string{}
+	b, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &g); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	return g
+}
+
+func writeGolden(t *testing.T, g map[string]string) {
+	t.Helper()
+	b, err := json.MarshalIndent(g, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// digest is the SHA-256 of an experiment's result blobs, in order.
+func digest(blobs [][]byte) string {
+	h := sha256.New()
+	for _, b := range blobs {
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // detFidelity is the determinism suite's fidelity: bench simulation
 // parameters (video length, windows, step, seeds) with trimmed sweep
@@ -62,10 +108,16 @@ func diffBlobs(t *testing.T, id string, seq, par [][]byte) {
 
 // Every registered experiment must produce byte-identical Result JSON
 // whatever the worker count: parallelism changes execution order and
-// adds speculative evaluations, but never the data.
+// adds speculative evaluations, but never the data. The workers=1 JSON
+// must also match its pinned digest in goldenPath, so a change that
+// moves any experiment's numbers fails here.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy; fig09 coverage stays via TestDeterminismFig09Parallel")
+	}
+	golden := loadGolden(t)
+	if *updateGolden {
+		defer writeGolden(t, golden)
 	}
 	seen := map[string]bool{}
 	for _, id := range IDs() {
@@ -80,6 +132,14 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 			}
 			_, par := runWorkers(t, id, detFidelity(), 8)
 			diffBlobs(t, id, seq, par)
+			got := digest(seq)
+			if *updateGolden {
+				golden[id] = got
+			} else if want, ok := golden[id]; !ok {
+				t.Errorf("%s: no entry in %s (regenerate with -update-golden)", id, goldenPath)
+			} else if got != want {
+				t.Errorf("%s: workers=1 JSON digest %.12s, want %.12s", id, got, want)
+			}
 		})
 	}
 }

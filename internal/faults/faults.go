@@ -31,10 +31,9 @@ import (
 // everything and reproduces fault-free runs bit for bit.
 type Config struct {
 	// Transient disk degradation: service times stretch by DiskSlowFactor
-	// for an exponentially distributed duration with mean DiskSlowMeanDur.
-	DiskSlowRate    float64      // slowdown onsets per disk-hour
-	DiskSlowFactor  float64      // service-time multiplier (default 4)
-	DiskSlowMeanDur sim.Duration // mean slowdown length (default 5s)
+	// for an exponentially distributed duration with mean diskSlowMeanDur.
+	DiskSlowRate   float64 // slowdown onsets per disk-hour
+	DiskSlowFactor float64 // service-time multiplier (default 4)
 
 	// Fail-stop disk failures: queued and in-flight requests complete with
 	// an error, new submissions are rejected, and service resumes after
@@ -55,6 +54,9 @@ type Config struct {
 	NetJitterMax sim.Duration // max extra per-message latency
 }
 
+// diskSlowMeanDur is the mean length of a transient disk slowdown.
+const diskSlowMeanDur = 5 * sim.Second
+
 // Enabled reports whether any fault class is active.
 func (c Config) Enabled() bool {
 	return c.DiskSlowRate > 0 || c.DiskFailRate > 0 || c.NodeCrashRate > 0 ||
@@ -63,13 +65,8 @@ func (c Config) Enabled() bool {
 
 // Normalize fills defaults for enabled fault classes.
 func (c *Config) Normalize() {
-	if c.DiskSlowRate > 0 {
-		if c.DiskSlowFactor == 0 {
-			c.DiskSlowFactor = 4
-		}
-		if c.DiskSlowMeanDur == 0 {
-			c.DiskSlowMeanDur = 5 * sim.Second
-		}
+	if c.DiskSlowRate > 0 && c.DiskSlowFactor == 0 {
+		c.DiskSlowFactor = 4
 	}
 }
 
@@ -80,8 +77,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("faults: negative event rate")
 	case c.DiskSlowRate > 0 && c.DiskSlowFactor < 1:
 		return fmt.Errorf("faults: disk slow factor %g below 1", c.DiskSlowFactor)
-	case c.DiskSlowRate > 0 && c.DiskSlowMeanDur <= 0:
-		return fmt.Errorf("faults: non-positive disk slowdown duration")
 	case c.NetLossProb < 0 || c.NetLossProb >= 1:
 		return fmt.Errorf("faults: network loss probability %g outside [0,1)", c.NetLossProb)
 	case c.NetJitterMax < 0 || c.DiskRepairTime < 0 || c.NodeRestartTime < 0:
@@ -136,7 +131,7 @@ func NewPlan(cfg Config, nodes, disksPerNode int, horizon sim.Time, src *rng.Sou
 					Kind:     KindDiskSlow,
 					Index:    d,
 					Factor:   cfg.DiskSlowFactor,
-					Duration: sim.DurationOfSeconds(s.Exp(cfg.DiskSlowMeanDur.Seconds())),
+					Duration: sim.DurationOfSeconds(s.Exp(diskSlowMeanDur.Seconds())),
 				})
 			}
 		}

@@ -12,7 +12,7 @@ import (
 const hour = sim.Time(3600 * sim.Second)
 
 func TestPlanDeterministic(t *testing.T) {
-	cfg := Config{DiskSlowRate: 2, DiskSlowFactor: 4, DiskSlowMeanDur: 5 * sim.Second,
+	cfg := Config{DiskSlowRate: 2, DiskSlowFactor: 4,
 		DiskFailRate: 1, DiskRepairTime: 30 * sim.Second, NodeCrashRate: 0.5}
 	a := NewPlan(cfg, 4, 4, hour, rng.New(7))
 	b := NewPlan(cfg, 4, 4, hour, rng.New(7))
@@ -49,7 +49,6 @@ func TestStreamsIndependent(t *testing.T) {
 	both.NodeCrashRate = 2
 	both.DiskSlowRate = 3
 	both.DiskSlowFactor = 4
-	both.DiskSlowMeanDur = 5 * sim.Second
 
 	extract := func(plan []Event, kind Kind) []Event {
 		var out []Event
@@ -90,7 +89,7 @@ func TestEnabledAndNormalize(t *testing.T) {
 	}
 	c := Config{DiskSlowRate: 1}
 	c.Normalize()
-	if c.DiskSlowFactor != 4 || c.DiskSlowMeanDur != 5*sim.Second {
+	if c.DiskSlowFactor != 4 {
 		t.Fatalf("slowdown defaults not filled: %+v", c)
 	}
 	if !c.Enabled() {
@@ -106,8 +105,7 @@ func TestValidateRejects(t *testing.T) {
 		{DiskFailRate: -1},
 		{NetLossProb: 1},
 		{NetLossProb: -0.1},
-		{DiskSlowRate: 1, DiskSlowFactor: 0.5, DiskSlowMeanDur: sim.Second},
-		{DiskSlowRate: 1, DiskSlowFactor: 2, DiskSlowMeanDur: -sim.Second},
+		{DiskSlowRate: 1, DiskSlowFactor: 0.5},
 		{NodeCrashRate: 1, NodeRestartTime: -sim.Second},
 	}
 	for i, c := range bad {

@@ -157,9 +157,6 @@ func (p *Placement) BlockSize() int64 { return p.blockSize }
 // NumVideos returns the catalog size.
 func (p *Placement) NumVideos() int { return len(p.videoSizes) }
 
-// VideoSize returns the byte length of video v.
-func (p *Placement) VideoSize(v int) int64 { return p.videoSizes[v] }
-
 // NumBlocks returns the number of blocks of video v.
 func (p *Placement) NumBlocks(v int) int { return p.numBlocks[v] }
 

@@ -8,10 +8,11 @@
 // must be measured, not precomputed: per-disk deadline slack (how much
 // margin each demand read has left when it reaches the disk arm) and
 // queue depth are smoothed with an EWMA; when the worst disk's slack
-// collapses below SlackLow the system is treated as over capacity —
-// the admission limit is stepped down and the lowest-priority active
-// streams are downshifted to degraded mode — and when slack recovers
-// above SlackHigh the limit is raised and shed streams are restored.
+// collapses below one stripe play time the system is treated as over
+// capacity — the admission limit is stepped down and the
+// lowest-priority active streams are downshifted to degraded mode —
+// and when slack recovers above two play times the limit is raised
+// and shed streams are restored.
 //
 // The controller also owns the rejoin warm-up (SetRejoinWarmup,
 // NoteRejoin): after a crashed node restarts, its disks return with
@@ -51,10 +52,6 @@ type Config struct {
 	// before it is rejected with a NACK (default 10s when AdmitLimit
 	// is set; <0 = wait forever).
 	Patience sim.Duration
-	// RetryDelay is the base delay before a rejected stream asks for
-	// admission again (default 5s; terminals add derived-stream jitter
-	// on top so rejected streams do not retry in lockstep).
-	RetryDelay sim.Duration
 
 	// Shed enables graceful load shedding: under pressure the
 	// controller downshifts the highest-numbered (lowest-priority)
@@ -66,26 +63,6 @@ type Config struct {
 	// Metrics.GlitchesProtected. Pure accounting plus a shed floor:
 	// setting it alone arms nothing. Defaults to 0.5 when Shed is set.
 	ProtectedFraction float64
-
-	// Interval is the estimator's decision period (default 1s).
-	Interval sim.Duration
-	// SlackLow/SlackHigh are the pressure and recovery thresholds on
-	// the worst per-disk slack EWMA. Defaults: 1x and 2x the stripe
-	// play time (filled by Normalize from the reference duration).
-	// Steady-state dispatch slack is bounded by how far ahead the
-	// terminal buffer lets streams request (a few stripe play times),
-	// so a recovery threshold much above 2x is never reached even by a
-	// healthy system.
-	SlackLow  sim.Duration
-	SlackHigh sim.Duration
-	// Alpha is the EWMA smoothing weight (default 0.1).
-	Alpha float64
-	// MinLimitFraction floors the adaptive limit at this fraction of
-	// AdmitLimit (default 0.25).
-	MinLimitFraction float64
-	// QueueHigh is the smoothed disk queue depth treated as pressure
-	// even when slack still looks healthy (default 16).
-	QueueHigh int
 
 	// HoldAfterCut suppresses limit raises for this long after each
 	// limit cut (0 = none). Under a step-function load increase the
@@ -109,40 +86,21 @@ type Config struct {
 // Enabled reports whether any overload mechanism is active.
 func (c Config) Enabled() bool { return c.AdmitLimit > 0 || c.RebuildRate > 0 }
 
-// Normalize fills defaults. ref is the stripe play time, the natural
-// slack unit: a demand read whose deadline is less than one block's
-// play time away is about to miss.
-func (c Config) Normalize(ref sim.Duration) Config {
-	if c.AdmitLimit > 0 {
-		if c.Patience == 0 {
-			c.Patience = 10 * sim.Second
-		}
-		if c.RetryDelay == 0 {
-			c.RetryDelay = 5 * sim.Second
-		}
+// Estimator tuning, fixed for every run.
+const (
+	interval         = sim.Second // decision period
+	alpha            = 0.1        // EWMA smoothing weight
+	minLimitFraction = 0.25       // adaptive limit floor, as a fraction of AdmitLimit
+	queueHigh        = 16         // smoothed queue depth treated as pressure even when slack looks healthy
+)
+
+// Normalize fills defaults.
+func (c Config) Normalize() Config {
+	if c.AdmitLimit > 0 && c.Patience == 0 {
+		c.Patience = 10 * sim.Second
 	}
 	if c.Shed && c.ProtectedFraction == 0 {
 		c.ProtectedFraction = 0.5
-	}
-	if c.Adaptive || c.Shed {
-		if c.Interval == 0 {
-			c.Interval = sim.Second
-		}
-		if c.SlackLow == 0 {
-			c.SlackLow = ref
-		}
-		if c.SlackHigh == 0 {
-			c.SlackHigh = 2 * ref
-		}
-		if c.Alpha == 0 {
-			c.Alpha = 0.1
-		}
-		if c.MinLimitFraction == 0 {
-			c.MinLimitFraction = 0.25
-		}
-		if c.QueueHigh == 0 {
-			c.QueueHigh = 16
-		}
 	}
 	return c
 }
@@ -158,14 +116,8 @@ func (c Config) Validate() error {
 	if c.ProtectedFraction < 0 || c.ProtectedFraction > 1 {
 		return fmt.Errorf("overload: ProtectedFraction %v outside [0,1]", c.ProtectedFraction)
 	}
-	if c.MinLimitFraction < 0 || c.MinLimitFraction > 1 {
-		return fmt.Errorf("overload: MinLimitFraction %v outside [0,1]", c.MinLimitFraction)
-	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return fmt.Errorf("overload: Alpha %v outside [0,1]", c.Alpha)
-	}
-	if c.Interval < 0 || c.SlackLow < 0 || c.SlackHigh < 0 || c.HoldAfterCut < 0 {
-		return fmt.Errorf("overload: negative estimator duration")
+	if c.HoldAfterCut < 0 {
+		return fmt.Errorf("overload: negative HoldAfterCut")
 	}
 	if c.RaiseStreak < 0 {
 		return fmt.Errorf("overload: RaiseStreak %d negative", c.RaiseStreak)
@@ -214,7 +166,7 @@ type Stats struct {
 
 // Controller is the EWMA capacity estimator. It observes every demand
 // dispatch on every disk (ObserveDispatch, wired through disk
-// observers), and once per Interval compares the worst smoothed slack
+// observers), and once per interval compares the worst smoothed slack
 // against the thresholds to move the admission limit and the shed
 // set. Streams are shed from the highest id down; ids below the
 // protected count are never shed.
@@ -226,6 +178,13 @@ type Controller struct {
 	lim       Limiter
 	streams   []Stream
 	protected int
+
+	// Pressure and recovery thresholds on the worst per-disk slack
+	// EWMA: 1x and 2x the stripe play time. Steady-state dispatch slack
+	// is bounded by how far ahead the terminal buffer lets streams
+	// request (a few stripe play times), so a recovery threshold much
+	// above 2x is never reached even by a healthy system.
+	slackLow, slackHigh sim.Duration
 
 	slack []sim.Duration // per-disk smoothed deadline slack
 	seen  []bool         // disk dispatched since last tick
@@ -252,17 +211,21 @@ type Controller struct {
 	warmupUntil sim.Time
 }
 
-// NewController builds an estimator over disks total disks. The
-// limiter and stream set are wired separately (SetLimiter,
-// SetStreams); Start arms the tick chain.
-func NewController(k *sim.Kernel, cfg Config, disks int) *Controller {
+// NewController builds an estimator over disks total disks.
+// playTime is the stripe play time, the natural slack unit: a demand
+// read whose deadline is less than one block's play time away is about
+// to miss. The limiter and stream set are wired separately
+// (SetLimiter, SetStreams); Start arms the tick chain.
+func NewController(k *sim.Kernel, cfg Config, disks int, playTime sim.Duration) *Controller {
 	return &Controller{
-		k:     k,
-		cfg:   cfg,
-		slack: make([]sim.Duration, disks),
-		seen:  make([]bool, disks),
-		init:  make([]bool, disks),
-		stats: Stats{LimitMin: cfg.AdmitLimit},
+		k:         k,
+		cfg:       cfg,
+		slackLow:  playTime,
+		slackHigh: 2 * playTime,
+		slack:     make([]sim.Duration, disks),
+		seen:      make([]bool, disks),
+		init:      make([]bool, disks),
+		stats:     Stats{LimitMin: cfg.AdmitLimit},
 	}
 }
 
@@ -295,7 +258,7 @@ func (c *Controller) Start() {
 		c.seen[i] = false
 	}
 	c.qlen = 0
-	c.k.After(c.cfg.Interval, c.tick)
+	c.k.After(interval, c.tick)
 }
 
 // SetRejoinWarmup sets how long after a node rejoin the estimator
@@ -319,7 +282,7 @@ func (c *Controller) NoteRejoin() {
 // depth behind it. Called from the disk layer; prefetches and
 // infinite-deadline requests are filtered out there.
 func (c *Controller) ObserveDispatch(disk int, slack sim.Duration, qlen int) {
-	a := c.cfg.Alpha
+	a := alpha
 	if !c.init[disk] {
 		c.slack[disk] = slack
 		c.init[disk] = true
@@ -351,10 +314,10 @@ func (c *Controller) tick() {
 	}
 	if any {
 		switch {
-		case worst < c.cfg.SlackLow || c.qlen > float64(c.cfg.QueueHigh):
+		case worst < c.slackLow || c.qlen > queueHigh:
 			c.healthy = 0
 			c.pressure(worst)
-		case worst > c.cfg.SlackHigh && c.qlen < float64(c.cfg.QueueHigh)/2:
+		case worst > c.slackHigh && c.qlen < queueHigh/2:
 			c.healthy++
 			c.relax(worst)
 		default:
@@ -363,14 +326,14 @@ func (c *Controller) tick() {
 	} else {
 		c.healthy = 0
 	}
-	c.k.After(c.cfg.Interval, c.tick)
+	c.k.After(interval, c.tick)
 }
 
 // pressure steps the admission limit down and sheds more streams.
 func (c *Controller) pressure(worst sim.Duration) {
 	if c.cfg.Adaptive && c.lim != nil {
 		cur := c.lim.Limit()
-		floor := int(float64(c.cfg.AdmitLimit) * c.cfg.MinLimitFraction)
+		floor := int(float64(c.cfg.AdmitLimit) * minLimitFraction)
 		if floor < 1 {
 			floor = 1
 		}

@@ -18,22 +18,15 @@ type fakeStream struct{ degraded bool }
 func (f *fakeStream) SetDegraded(on bool) { f.degraded = on }
 
 func TestNormalizeDefaults(t *testing.T) {
-	ref := sim.Second
-	c := Config{AdmitLimit: 10, Adaptive: true, Shed: true}.Normalize(ref)
-	if c.Patience != 10*sim.Second || c.RetryDelay != 5*sim.Second {
-		t.Fatalf("admission defaults: patience=%v retry=%v", c.Patience, c.RetryDelay)
-	}
-	if c.Interval != sim.Second || c.SlackLow != ref || c.SlackHigh != 2*ref {
-		t.Fatalf("estimator defaults: interval=%v low=%v high=%v", c.Interval, c.SlackLow, c.SlackHigh)
-	}
-	if c.Alpha != 0.1 || c.MinLimitFraction != 0.25 || c.QueueHigh != 16 {
-		t.Fatalf("estimator defaults: alpha=%v minfrac=%v qhigh=%d", c.Alpha, c.MinLimitFraction, c.QueueHigh)
+	c := Config{AdmitLimit: 10, Adaptive: true, Shed: true}.Normalize()
+	if c.Patience != 10*sim.Second {
+		t.Fatalf("admission default: patience=%v", c.Patience)
 	}
 	if c.ProtectedFraction != 0.5 {
 		t.Fatalf("shed default: protected=%v", c.ProtectedFraction)
 	}
 	// The zero config stays zero: nothing is armed, nothing defaults.
-	if z := (Config{}).Normalize(ref); z != (Config{}) {
+	if z := (Config{}).Normalize(); z != (Config{}) {
 		t.Fatalf("zero config normalized to %+v", z)
 	}
 }
@@ -45,16 +38,14 @@ func TestValidate(t *testing.T) {
 		{Adaptive: true},
 		{Shed: true},
 		{AdmitLimit: 4, ProtectedFraction: 1.5},
-		{AdmitLimit: 4, Adaptive: true, Alpha: 2},
-		{AdmitLimit: 4, Adaptive: true, MinLimitFraction: -0.1},
-		{AdmitLimit: 4, Adaptive: true, Interval: -sim.Second},
+		{AdmitLimit: 4, Adaptive: true, HoldAfterCut: -sim.Second},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d (%+v): expected validation error", i, c)
 		}
 	}
-	good := Config{AdmitLimit: 4, Adaptive: true, Shed: true, RebuildRate: 1}.Normalize(sim.Second)
+	good := Config{AdmitLimit: 4, Adaptive: true, Shed: true, RebuildRate: 1}.Normalize()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("normalized config invalid: %v", err)
 	}
@@ -88,7 +79,7 @@ func TestProtectedCount(t *testing.T) {
 func TestZeroConfigArmsNothing(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	c := NewController(k, Config{}, 2)
+	c := NewController(k, Config{}, 2, sim.Second)
 	c.Start()
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
@@ -104,8 +95,8 @@ func TestZeroConfigArmsNothing(t *testing.T) {
 func TestControllerPressureAndRelax(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	cfg := Config{AdmitLimit: 16, Adaptive: true, Shed: true}.Normalize(sim.Second)
-	c := NewController(k, cfg, 2)
+	cfg := Config{AdmitLimit: 16, Adaptive: true, Shed: true}.Normalize()
+	c := NewController(k, cfg, 2, sim.Second)
 	lim := &fakeLimiter{limit: 16, active: 16}
 	c.SetLimiter(lim)
 	streams := make([]Stream, 8)
@@ -124,7 +115,7 @@ func TestControllerPressureAndRelax(t *testing.T) {
 			k.At(sim.Time(at), func() { c.ObserveDispatch(0, slack, 2) })
 		}
 	}
-	feed(0, 6*sim.Second, 100*sim.Millisecond) // far below SlackLow
+	feed(0, 6*sim.Second, 100*sim.Millisecond) // far below the pressure threshold
 	if err := k.Run(sim.Time(6*sim.Second + sim.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +136,7 @@ func TestControllerPressureAndRelax(t *testing.T) {
 		}
 	}
 
-	feed(6*sim.Second, 14*sim.Second, 10*sim.Second) // far above SlackHigh
+	feed(6*sim.Second, 14*sim.Second, 10*sim.Second) // far above the recovery threshold
 	if err := k.Run(sim.Time(14*sim.Second + sim.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +363,7 @@ func TestControllerStepResponse(t *testing.T) {
 	run := func(cfg Config) *recordingLimiter {
 		k := sim.NewKernel()
 		defer k.Close()
-		c := NewController(k, cfg, 1)
+		c := NewController(k, cfg, 1, sim.Second)
 		lim := &recordingLimiter{limit: cfg.AdmitLimit}
 		c.SetLimiter(lim)
 		c.Start()
@@ -383,7 +374,7 @@ func TestControllerStepResponse(t *testing.T) {
 		return lim
 	}
 
-	base := Config{AdmitLimit: 16, Adaptive: true}.Normalize(sim.Second)
+	base := Config{AdmitLimit: 16, Adaptive: true}.Normalize()
 	hard := base
 	hard.HoldAfterCut = 10 * sim.Second
 	hard.RaiseStreak = 3
@@ -419,7 +410,7 @@ func TestControllerHysteresisZeroInert(t *testing.T) {
 	run := func(cfg Config) []int {
 		k := sim.NewKernel()
 		defer k.Close()
-		c := NewController(k, cfg, 1)
+		c := NewController(k, cfg, 1, sim.Second)
 		lim := &recordingLimiter{limit: cfg.AdmitLimit}
 		c.SetLimiter(lim)
 		c.Start()
@@ -429,7 +420,7 @@ func TestControllerHysteresisZeroInert(t *testing.T) {
 		}
 		return lim.trajectory
 	}
-	base := Config{AdmitLimit: 16, Adaptive: true}.Normalize(sim.Second)
+	base := Config{AdmitLimit: 16, Adaptive: true}.Normalize()
 	streak1 := base
 	streak1.RaiseStreak = 1 // documented as identical to the default
 	a, b := run(base), run(streak1)

@@ -9,8 +9,6 @@
 package overload
 
 import (
-	"fmt"
-
 	"spiffi/internal/layout"
 	"spiffi/internal/sim"
 	"spiffi/internal/trace"
@@ -88,7 +86,7 @@ func (r *Rebuilder) OnRepair(diskGlobal int, downtime sim.Duration) {
 	}
 	r.rec.RebuildStart(diskGlobal, len(refs))
 	start := r.k.Now()
-	r.k.Spawn(fmt.Sprintf("rebuild-%d", diskGlobal), func(p *sim.Proc) {
+	r.k.Spawn("rebuild", func(p *sim.Proc) {
 		r.run(p, diskGlobal, e, refs, downtime, start)
 	})
 }

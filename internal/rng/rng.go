@@ -83,8 +83,3 @@ func (s *Source) Exp(mean float64) float64 {
 	}
 	return -mean * math.Log(u)
 }
-
-// UniformDuration returns a uniform float in [0, width).
-func (s *Source) UniformDuration(width float64) float64 {
-	return s.Float64() * width
-}

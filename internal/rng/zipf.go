@@ -9,7 +9,6 @@ import "math"
 // the video library, with z=1 as the default.
 type Zipf struct {
 	n   int
-	z   float64
 	cdf []float64 // cdf[i] = P(X <= i)
 }
 
@@ -32,7 +31,7 @@ func NewZipf(n int, z float64) *Zipf {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1.0 // guard against rounding
-	return &Zipf{n: n, z: z, cdf: cdf}
+	return &Zipf{n: n, cdf: cdf}
 }
 
 // PMF returns P(X = i).
@@ -45,9 +44,6 @@ func (zf *Zipf) PMF(i int) float64 {
 
 // N returns the number of items.
 func (zf *Zipf) N() int { return zf.n }
-
-// Z returns the skew parameter.
-func (zf *Zipf) Z() float64 { return zf.z }
 
 // Draw samples an item index using src.
 func (zf *Zipf) Draw(src *Source) int {

@@ -11,8 +11,6 @@
 package server
 
 import (
-	"fmt"
-
 	"spiffi/internal/bufferpool"
 	"spiffi/internal/cache"
 	"spiffi/internal/cpu"
@@ -165,7 +163,7 @@ func New(
 			n.queues[i] = cfg.Prefetch.NewQueue(k)
 			for w := 0; w < cfg.Prefetch.WorkersPerDisk; w++ {
 				di := i
-				k.Spawn(fmt.Sprintf("node-%d-disk-%d-prefetch-%d", id, i, w), func(p *sim.Proc) {
+				k.Spawn("prefetch", func(p *sim.Proc) {
 					n.prefetchWorker(p, di)
 				})
 			}
@@ -222,7 +220,7 @@ func (n *Node) DeliverRequest(req *proto.BlockRequest) {
 		n.rec.NodeDrop(req.Terminal, n.id, false, n.stats.Dropped)
 		return
 	}
-	n.k.Spawn(fmt.Sprintf("node-%d-handler", n.id), func(p *sim.Proc) {
+	n.k.Spawn("handler", func(p *sim.Proc) {
 		n.handle(p, req)
 	})
 }
@@ -387,9 +385,6 @@ func (n *Node) maybeRestart(at sim.Time) {
 		n.restartHook(at.Sub(n.downSince))
 	}
 }
-
-// Down reports whether the node is currently crashed.
-func (n *Node) Down() bool { return n.down }
 
 // SetStaleCheck wires the mirror rebuilder's staleness predicate
 // (nil = no staleness modeling).

@@ -383,34 +383,6 @@ func TestEventDoubleFireIsNoop(t *testing.T) {
 	}
 }
 
-func TestSemaphore(t *testing.T) {
-	k := NewKernel()
-	defer k.Close()
-	s := NewSemaphore(k, 2)
-	var inside, peak int
-	for i := 0; i < 6; i++ {
-		k.Spawn("worker", func(p *Proc) {
-			s.Acquire(p)
-			inside++
-			if inside > peak {
-				peak = inside
-			}
-			p.Sleep(10)
-			inside--
-			s.Release()
-		})
-	}
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Fatalf("peak concurrency = %d, want 2", peak)
-	}
-	if s.Available() != 2 {
-		t.Fatalf("final count = %d, want 2", s.Available())
-	}
-}
-
 // TestDeterminism runs the same randomized workload twice and requires
 // identical completion traces.
 func TestDeterminism(t *testing.T) {
@@ -478,38 +450,6 @@ func TestHeapDispatchOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkEventDispatch(b *testing.B) {
-	k := NewKernel()
-	defer k.Close()
-	n := 0
-	var fn func()
-	fn = func() {
-		n++
-		if n < b.N {
-			k.After(1, fn)
-		}
-	}
-	k.After(1, fn)
-	b.ResetTimer()
-	if err := k.RunAll(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkProcessHandoff(b *testing.B) {
-	k := NewKernel()
-	defer k.Close()
-	k.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	if err := k.RunAll(); err != nil {
-		b.Fatal(err)
 	}
 }
 

@@ -93,41 +93,3 @@ func (e *Event) Wait(p *Proc) {
 	e.waiters = append(e.waiters, p)
 	p.Block()
 }
-
-// Semaphore is a counting semaphore with FIFO wakeup.
-type Semaphore struct {
-	k       *Kernel
-	count   int
-	waiters []*Proc
-}
-
-// NewSemaphore creates a semaphore with the given initial count.
-func NewSemaphore(k *Kernel, count int) *Semaphore {
-	return &Semaphore{k: k, count: count}
-}
-
-// Acquire takes one unit, blocking while the count is zero.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.count > 0 && len(s.waiters) == 0 {
-		s.count--
-		return
-	}
-	s.waiters = append(s.waiters, p)
-	p.Block()
-	// The releaser consumed a unit on our behalf.
-}
-
-// Release returns one unit, waking the oldest waiter if any.
-func (s *Semaphore) Release() {
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		copy(s.waiters, s.waiters[1:])
-		s.waiters = s.waiters[:len(s.waiters)-1]
-		s.k.Wake(w)
-		return
-	}
-	s.count++
-}
-
-// Available reports the current count.
-func (s *Semaphore) Available() int { return s.count }

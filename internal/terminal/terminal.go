@@ -200,12 +200,12 @@ type Stats struct {
 	GlitchesDiskFailTotal int64
 	GlitchesTimeoutTotal  int64
 	Nacks                 int64 // NACK replies received
-	Retries          int64 // re-issued requests
-	Timeouts         int64 // request timeouts fired
-	LostBlocks       int64 // blocks abandoned after the final retry
-	Recoveries       int64 // completed glitch-to-resume recoveries
-	RecoverySum      sim.Duration
-	RecoveryMax      sim.Duration
+	Retries               int64 // re-issued requests
+	Timeouts              int64 // request timeouts fired
+	LostBlocks            int64 // blocks abandoned after the final retry
+	Recoveries            int64 // completed glitch-to-resume recoveries
+	RecoverySum           sim.Duration
+	RecoveryMax           sim.Duration
 
 	// Overload-control counters: admission rejections seen by this
 	// terminal, and blocks/frames skipped while shed to degraded mode.
@@ -355,7 +355,7 @@ func New(
 // Start spawns the terminal's processes with the given initial delay
 // (terminals start movies at staggered random times, §6).
 func (t *Terminal) Start(delay sim.Duration) {
-	t.k.SpawnAt(t.k.Now().Add(delay), fmt.Sprintf("term-%d-player", t.id), t.player)
+	t.k.SpawnAt(t.k.Now().Add(delay), "player", t.player)
 }
 
 // ID returns the terminal id.
@@ -420,7 +420,7 @@ func (t *Terminal) BufferedBytes() int64 {
 func (t *Terminal) player(p *sim.Proc) {
 	// The fetcher lives for the terminal's whole life; the player signals
 	// it at each movie change.
-	t.k.Spawn(fmt.Sprintf("term-%d-fetcher", t.id), t.fetcher)
+	t.k.Spawn("fetcher", t.fetcher)
 	for {
 		if t.cfg.Think != nil && t.stats.MoviesStarted > 0 {
 			// Inter-movie think time: the viewer finished a session and

@@ -89,9 +89,6 @@ func (s *Schedule) Enabled() bool { return s != nil && len(s.phases) > 0 }
 // NumPhases returns the number of configured phases (one cycle).
 func (s *Schedule) NumPhases() int { return len(s.phases) }
 
-// CycleLength returns the summed duration of one phase cycle.
-func (s *Schedule) CycleLength() sim.Duration { return s.total }
-
 // PhaseIndexAt maps a simulation time to the index of the active phase.
 func (s *Schedule) PhaseIndexAt(t sim.Time) int {
 	off := sim.Duration(t)
@@ -107,11 +104,6 @@ func (s *Schedule) PhaseIndexAt(t sim.Time) int {
 		}
 	}
 	return 0
-}
-
-// PhaseAt returns the phase active at time t.
-func (s *Schedule) PhaseAt(t sim.Time) Phase {
-	return s.phases[s.PhaseIndexAt(t)].Phase
 }
 
 // SelectVideo draws the next video to watch at time t using src.

@@ -47,7 +47,7 @@ func TestValidateErrors(t *testing.T) {
 	bad := []Config{
 		{Phases: []Phase{{Name: "a", Duration: -sim.Second, Load: 1, SeekBoost: 1}}},
 		{Phases: []Phase{{Name: "a", Load: 1, SeekBoost: 1}, {Name: "b", Duration: sim.Second, Load: 1, SeekBoost: 1}}}, // open-ended non-final
-		{Repeat: true, Phases: []Phase{{Name: "a", Load: 1, SeekBoost: 1}}},                                            // open-ended + repeat
+		{Repeat: true, Phases: []Phase{{Name: "a", Load: 1, SeekBoost: 1}}},                                             // open-ended + repeat
 		{Phases: []Phase{{Name: "a", Duration: sim.Second, Load: -1, SeekBoost: 1}}},
 		{Phases: []Phase{{Name: "a", Duration: sim.Second, Load: 1, SeekBoost: -2}}},
 		{Phases: []Phase{{Name: "a", Duration: sim.Second, Load: 1, SeekBoost: 1, PromoteShare: 0.5}}}, // share without promote
@@ -251,19 +251,19 @@ func TestParseSpec(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"",                      // no phases
-		"think=10s",             // globals only
-		"a:",                    // missing duration
-		":1m",                   // missing name
-		"a:1m zoom=3",           // unknown option
-		"a:1m z=-1",             // explicit negative skew
-		"a:1m load=0",           // zero load
-		"a:*; b:1m",             // open-ended non-final
-		"repeat; a:*",           // open-ended + repeat
-		"a:1m share=0.5",        // share without promote
-		"a:forever",             // bad duration
-		"think=fast; a:1m",      // bad think
-		"a:1m promote=-2",       // negative video
+		"",                             // no phases
+		"think=10s",                    // globals only
+		"a:",                           // missing duration
+		":1m",                          // missing name
+		"a:1m zoom=3",                  // unknown option
+		"a:1m z=-1",                    // explicit negative skew
+		"a:1m load=0",                  // zero load
+		"a:*; b:1m",                    // open-ended non-final
+		"repeat; a:*",                  // open-ended + repeat
+		"a:1m share=0.5",               // share without promote
+		"a:forever",                    // bad duration
+		"think=fast; a:1m",             // bad think
+		"a:1m promote=-2",              // negative video
 		"a:1m promote=1 share=2; b:1m", // share out of range
 	} {
 		if _, err := ParseSpec(bad); err == nil {
