@@ -33,7 +33,7 @@ func (o Outcome) String() string {
 	}
 }
 
-// Stats aggregates buffer pool counters over the measurement window.
+// Stats aggregates the buffer pool's lifetime counters.
 type Stats struct {
 	DemandRefs   int64 // demand (terminal) buffer references
 	DemandHits   int64 // satisfied without a new disk read (valid page)
@@ -258,8 +258,5 @@ func (b *Pool) wakeWaiter() {
 	b.k.Wake(w)
 }
 
-// Stats returns a copy of the window counters.
+// Stats returns a copy of the counters.
 func (b *Pool) Stats() Stats { return b.stats }
-
-// ResetStats zeroes the window counters (to discard warm-up).
-func (b *Pool) ResetStats() { b.stats = Stats{} }

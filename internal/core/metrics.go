@@ -44,7 +44,6 @@ type Metrics struct {
 	RespTimeMax     sim.Duration
 	RespTimeP50     sim.Duration // histogram upper-edge estimate
 	RespTimeP99     sim.Duration // histogram upper-edge estimate
-	respBlocks      int64        // weight of RespTimeAvg during accumulation
 
 	// Interactive-operation aggregates (§8.1 workloads).
 	Seeks          int64

@@ -2,6 +2,7 @@ package core
 
 import (
 	"spiffi/internal/admission"
+	"spiffi/internal/bufferpool"
 	"spiffi/internal/cache"
 	"spiffi/internal/disk"
 	"spiffi/internal/faults"
@@ -48,15 +49,18 @@ type Simulation struct {
 
 	// Workload scenario (WORKLOADS.md); wl is nil-safe and disabled
 	// unless cfg.Workload has phases. phaseStats accumulates the
-	// per-phase degradation surface; wlPrev is the counter snapshot at
-	// the open segment's start.
+	// per-phase degradation surface; phaseOpen is the reading at the
+	// open segment's start.
 	wl         *workload.Schedule
 	phaseStats []PhaseMetrics
-	wlPrev     wlCounters
+	phaseOpen  reading
 
 	startedCount int
 	measuring    bool
 	measureStart sim.Time
+	// open is the reading taken as the measurement window opened; Run
+	// folds the window as the difference from it.
+	open reading
 
 	// respHist observes every measured block round trip, at millisecond
 	// base resolution over 20 power-of-two buckets (1 ms .. ~17 minutes).
@@ -302,8 +306,8 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	}
 	if s.wl.Enabled() {
 		// One kernel event per phase entry over the run's whole horizon:
-		// it closes the previous accounting segment, snapshots the
-		// degradation counters and announces the phase on the trace.
+		// it closes the previous accounting segment with a fresh reading
+		// of the counters and announces the phase on the trace.
 		horizon := cfg.StartWindow + cfg.StartupGrace + cfg.MeasureTime
 		for _, b := range s.wl.Boundaries(horizon) {
 			b := b
@@ -313,50 +317,65 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	return s, nil
 }
 
-// wlCounters is a cumulative snapshot of the counters the workload layer
-// buckets per phase. All of them are lifetime (since simulation start),
-// so segment deltas are exact no matter where the measurement window
-// lies relative to the phase timeline.
-type wlCounters struct {
-	glitches, underrun, diskfail, timeout int64
-	sheds, admRejected                    int64
-	cacheHits, cacheMisses                int64
-	movies                                int64
+// reading is one snapshot of the component counters. Components count
+// lifetime totals; the measurement window and each workload phase
+// segment are the field-wise difference of two readings.
+type reading struct {
+	terms    []terminal.Stats
+	nodes    []server.Stats
+	pools    []bufferpool.Stats
+	cpuBusy  []sim.Duration
+	disks    []disk.Stats   // by global disk index
+	diskBusy []sim.Duration // by global disk index
+
+	sheds, admRejected     int64
+	cacheHits, cacheMisses int64
 }
 
-func (s *Simulation) wlCountersNow() wlCounters {
-	var c wlCounters
-	for _, t := range s.terms {
-		st := t.Stats()
-		c.glitches += st.GlitchesTotal
-		c.underrun += st.GlitchesUnderrunTotal
-		c.diskfail += st.GlitchesDiskFailTotal
-		c.timeout += st.GlitchesTimeoutTotal
-		c.movies += st.MoviesStarted
+// read takes a reading of every component counter.
+func (s *Simulation) read() reading {
+	r := reading{
+		terms:    make([]terminal.Stats, len(s.terms)),
+		nodes:    make([]server.Stats, len(s.nodes)),
+		pools:    make([]bufferpool.Stats, len(s.nodes)),
+		cpuBusy:  make([]sim.Duration, len(s.nodes)),
+		disks:    make([]disk.Stats, 0, s.cfg.TotalDisks()),
+		diskBusy: make([]sim.Duration, 0, s.cfg.TotalDisks()),
+	}
+	for i, t := range s.terms {
+		r.terms[i] = t.Stats()
+	}
+	for i, n := range s.nodes {
+		r.nodes[i] = n.Stats()
+		r.pools[i] = n.Pool().Stats()
+		r.cpuBusy[i] = n.CPU().BusyTime()
+		for _, d := range n.Disks() {
+			r.disks = append(r.disks, d.Stats())
+			r.diskBusy = append(r.diskBusy, d.BusyTime())
+		}
 	}
 	if s.over != nil {
-		c.sheds = s.over.Stats().Sheds
+		r.sheds = s.over.Stats().Sheds
 	}
 	if s.adm != nil {
-		c.admRejected = s.adm.Rejected
+		r.admRejected = s.adm.Rejected
 	}
-	for _, ch := range s.caches {
-		cs := ch.Stats()
-		c.cacheHits += cs.Hits
-		c.cacheMisses += cs.Misses
+	for _, c := range s.caches {
+		cs := c.Stats()
+		r.cacheHits += cs.Hits
+		r.cacheMisses += cs.Misses
 	}
-	return c
+	return r
 }
 
 // enterPhase runs (in simulation context) at each phase boundary.
 func (s *Simulation) enterPhase(b workload.Boundary) {
-	now := s.k.Now()
-	s.closePhaseSegment(now)
+	s.closePhaseSegment(s.read())
 	s.phaseStats = append(s.phaseStats, PhaseMetrics{
 		Name:  b.Phase.Name,
 		Index: b.Index,
 		Cycle: b.Cycle,
-		Start: now,
+		Start: s.k.Now(),
 		Load:  b.Phase.Load,
 	})
 	promote := int64(-1)
@@ -366,24 +385,26 @@ func (s *Simulation) enterPhase(b workload.Boundary) {
 	s.rec.WlPhase(b.Index, b.Cycle, int64(b.Phase.Load*1000), promote)
 }
 
-// closePhaseSegment finalizes the open phase segment (if any) with the
-// counter deltas accumulated since it began.
-func (s *Simulation) closePhaseSegment(now sim.Time) {
-	cur := s.wlCountersNow()
+// closePhaseSegment finalizes the open phase segment (if any) as the
+// difference between cur and the reading at its start.
+func (s *Simulation) closePhaseSegment(cur reading) {
 	if n := len(s.phaseStats); n > 0 {
-		ps := &s.phaseStats[n-1]
-		ps.End = now
-		ps.Glitches = cur.glitches - s.wlPrev.glitches
-		ps.GlitchesUnderrun = cur.underrun - s.wlPrev.underrun
-		ps.GlitchesDiskFail = cur.diskfail - s.wlPrev.diskfail
-		ps.GlitchesTimeout = cur.timeout - s.wlPrev.timeout
-		ps.Sheds = cur.sheds - s.wlPrev.sheds
-		ps.AdmRejected = cur.admRejected - s.wlPrev.admRejected
-		ps.CacheHits = cur.cacheHits - s.wlPrev.cacheHits
-		ps.CacheMisses = cur.cacheMisses - s.wlPrev.cacheMisses
-		ps.MoviesStarted = cur.movies - s.wlPrev.movies
+		ps, prev := &s.phaseStats[n-1], s.phaseOpen
+		ps.End = s.k.Now()
+		for i := range cur.terms {
+			c, p := &cur.terms[i], &prev.terms[i]
+			ps.Glitches += c.Glitches - p.Glitches
+			ps.GlitchesUnderrun += c.GlitchesUnderrun - p.GlitchesUnderrun
+			ps.GlitchesDiskFail += c.GlitchesDiskFail - p.GlitchesDiskFail
+			ps.GlitchesTimeout += c.GlitchesTimeout - p.GlitchesTimeout
+			ps.MoviesStarted += c.MoviesStarted - p.MoviesStarted
+		}
+		ps.Sheds = cur.sheds - prev.sheds
+		ps.AdmRejected = cur.admRejected - prev.admRejected
+		ps.CacheHits = cur.cacheHits - prev.cacheHits
+		ps.CacheMisses = cur.cacheMisses - prev.cacheMisses
 	}
-	s.wlPrev = cur
+	s.phaseOpen = cur
 }
 
 // sendRequest routes a terminal's block request over the network to the
@@ -416,7 +437,8 @@ func (s *Simulation) forwardMerged(fol *terminal.Terminal, video, block int, siz
 
 // onTerminalStarted is invoked (in simulation context) the first time
 // each terminal begins display; once all have, the measurement window
-// opens: statistics reset, glitch counting begins (§6).
+// opens (§6): the component counters are read, and Run reports the
+// window as the difference from this reading.
 func (s *Simulation) onTerminalStarted() {
 	s.startedCount++
 	if s.startedCount < s.cfg.Terminals {
@@ -425,12 +447,7 @@ func (s *Simulation) onTerminalStarted() {
 	s.measuring = true
 	s.measureStart = s.k.Now()
 	s.net.ResetStats()
-	for _, n := range s.nodes {
-		n.ResetStats()
-	}
-	for _, t := range s.terms {
-		t.ResetWindowStats()
-	}
+	s.open = s.read()
 	if s.over != nil {
 		// The estimator starts with the measurement window: warm-up
 		// slack (every stream priming at once) would read as overload.
@@ -470,61 +487,70 @@ func (s *Simulation) Run() (Metrics, error) {
 	m.MeasureEnd = s.k.Now()
 	m.Events = s.k.Events()
 
+	// Sessions still impacted when the window closes count as lost.
+	for _, t := range s.terms {
+		t.CloseSessionAccounting()
+	}
+	now, open := s.read(), s.open
+	s.open = reading{}
 	if s.wl.Enabled() {
-		s.closePhaseSegment(s.k.Now())
+		s.closePhaseSegment(now)
+		s.phaseOpen = reading{}
 		m.PhaseStats = s.phaseStats
 	}
 
+	// The fold: a window-scoped field adds now - open, a field reported
+	// over the whole run adds now. The window maxima are recorded by the
+	// components only while measuring.
 	var seekLatSum, recoverySum, failoverLatSum sim.Duration
+	var respWeight int64
 	m.ProtectedTerminals = s.cfg.Overload.ProtectedCount(s.cfg.Terminals)
-	for i, t := range s.terms {
-		// Sessions still impacted when the window closes count as lost.
-		t.CloseSessionAccounting()
-		st := t.Stats()
-		m.Glitches += st.Glitches
-		if st.Glitches > 0 {
+	for i := range now.terms {
+		st, o := &now.terms[i], &open.terms[i]
+		glitches := st.Glitches - o.Glitches
+		m.Glitches += glitches
+		if glitches > 0 {
 			m.GlitchTerminals++
 		}
 		if i < m.ProtectedTerminals {
-			m.GlitchesProtected += st.Glitches
+			m.GlitchesProtected += glitches
+			m.DegradedBlocksProtected += st.DegradedBlocks - o.DegradedBlocks
 		}
-		m.DegradedBlocks += st.DegradedBlocks
-		m.DegradedFrames += st.DegradedFrames
-		if i < m.ProtectedTerminals {
-			m.DegradedBlocksProtected += st.DegradedBlocks
-		}
-		m.BlocksServed += st.BlocksReceived
-		m.MoviesCompleted += st.MoviesCompleted
-		m.Seeks += st.Seeks
-		m.SkimBlocks += st.SkimBlocks
-		m.StaleDrops += st.StaleDrops
-		seekLatSum += st.SeekRePrimeSum
-		if st.SeekRePrimeMax > m.SeekRePrimeMax {
-			m.SeekRePrimeMax = st.SeekRePrimeMax
-		}
-		m.GlitchesUnderrun += st.GlitchesUnderrun
-		m.GlitchesDiskFail += st.GlitchesDiskFail
-		m.GlitchesTimeout += st.GlitchesTimeout
-		m.Nacks += st.Nacks
-		m.Retries += st.Retries
-		m.Timeouts += st.Timeouts
-		m.LostBlocks += st.LostBlocks
-		m.Recoveries += st.Recoveries
-		recoverySum += st.RecoverySum
-		if st.RecoveryMax > m.MTTRMax {
-			m.MTTRMax = st.RecoveryMax
-		}
+		m.DegradedBlocks += st.DegradedBlocks - o.DegradedBlocks
+		m.DegradedFrames += st.DegradedFrames - o.DegradedFrames
+		m.MoviesCompleted += st.MoviesCompleted - o.MoviesCompleted
+		m.Seeks += st.Seeks - o.Seeks
+		m.SkimBlocks += st.SkimBlocks - o.SkimBlocks
+		m.StaleDrops += st.StaleDrops - o.StaleDrops
+		seekLatSum += st.SeekRePrimeSum - o.SeekRePrimeSum
+		m.SeekRePrimeMax = max(m.SeekRePrimeMax, st.SeekRePrimeMax)
+		m.GlitchesUnderrun += st.GlitchesUnderrun - o.GlitchesUnderrun
+		m.GlitchesDiskFail += st.GlitchesDiskFail - o.GlitchesDiskFail
+		m.GlitchesTimeout += st.GlitchesTimeout - o.GlitchesTimeout
+		m.Nacks += st.Nacks - o.Nacks
+		m.Retries += st.Retries - o.Retries
+		m.Timeouts += st.Timeouts - o.Timeouts
+		m.LostBlocks += st.LostBlocks - o.LostBlocks
+		m.Recoveries += st.Recoveries - o.Recoveries
+		recoverySum += st.RecoverySum - o.RecoverySum
+		m.MTTRMax = max(m.MTTRMax, st.RecoveryMax)
 		m.SessionsImpacted += st.SessionsImpacted
 		m.SessionsRecovered += st.SessionsRecovered
 		m.SessionsLost += st.SessionsLost
 		m.FailoverRedirects += st.FailoverRedirects
 		m.FailoverReadmits += st.FailoverReadmits
 		failoverLatSum += st.FailoverLatSum
-		if st.FailoverLatMax > m.FailoverLatMax {
-			m.FailoverLatMax = st.FailoverLatMax
-		}
+		m.FailoverLatMax = max(m.FailoverLatMax, st.FailoverLatMax)
 		m.MergeDetaches += st.MergeDetaches
-		m.RespTimeSumAdd(st)
+		// RespTimeAvg is a running weighted average updated once per
+		// terminal, in terminal order; the order fixes its rounding.
+		if blocks := st.BlocksReceived - o.BlocksReceived; blocks > 0 {
+			m.BlocksServed += blocks
+			total := m.RespTimeAvg*sim.Duration(respWeight) + st.RespTimeSum - o.RespTimeSum
+			respWeight += blocks
+			m.RespTimeAvg = total / sim.Duration(respWeight)
+		}
+		m.RespTimeMax = max(m.RespTimeMax, st.RespTimeMax)
 	}
 	if m.Seeks > 0 {
 		m.SeekRePrimeAvg = seekLatSum / sim.Duration(m.Seeks)
@@ -567,49 +593,44 @@ func (s *Simulation) Run() (Metrics, error) {
 		m.RebuiltBlocks = rs.Rebuilt
 	}
 
-	m.DiskUtilMin = 2
-	for _, n := range s.nodes {
-		ns := n.Stats()
-		m.Nodes.Requests += ns.Requests
-		m.Nodes.Prefetches += ns.Prefetches
-		m.Nodes.DeadlineUps += ns.DeadlineUps
-		m.Nodes.Nacks += ns.Nacks
-		m.Nodes.Dropped += ns.Dropped
-		m.Nodes.DroppedReqs += ns.DroppedReqs
-		m.Nodes.DroppedReplies += ns.DroppedReplies
-		m.Nodes.Crashes += ns.Crashes
-		m.StaleNacks += ns.StaleNacks
-		ps := n.Pool().Stats()
-		m.Pool.DemandRefs += ps.DemandRefs
-		m.Pool.DemandHits += ps.DemandHits
-		m.Pool.InFlightHits += ps.InFlightHits
-		m.Pool.Misses += ps.Misses
-		m.Pool.SharedRefs += ps.SharedRefs
-		m.Pool.PrefetchSkip += ps.PrefetchSkip
-		m.Pool.Evictions += ps.Evictions
-		m.Pool.AllocWaits += ps.AllocWaits
-		cu := n.CPU().Utilization()
+	window := float64(m.MeasureEnd.Sub(m.MeasureStart))
+	for i := range now.nodes {
+		ns, on := &now.nodes[i], &open.nodes[i]
+		m.Nodes.Requests += ns.Requests - on.Requests
+		m.Nodes.Prefetches += ns.Prefetches - on.Prefetches
+		m.Nodes.DeadlineUps += ns.DeadlineUps - on.DeadlineUps
+		m.Nodes.Nacks += ns.Nacks - on.Nacks
+		m.Nodes.Dropped += ns.Dropped - on.Dropped
+		m.Nodes.DroppedReqs += ns.DroppedReqs - on.DroppedReqs
+		m.Nodes.DroppedReplies += ns.DroppedReplies - on.DroppedReplies
+		m.Nodes.Crashes += ns.Crashes - on.Crashes
+		m.StaleNacks += ns.StaleNacks - on.StaleNacks
+		ps, op := &now.pools[i], &open.pools[i]
+		m.Pool.DemandRefs += ps.DemandRefs - op.DemandRefs
+		m.Pool.DemandHits += ps.DemandHits - op.DemandHits
+		m.Pool.InFlightHits += ps.InFlightHits - op.InFlightHits
+		m.Pool.Misses += ps.Misses - op.Misses
+		m.Pool.SharedRefs += ps.SharedRefs - op.SharedRefs
+		m.Pool.PrefetchSkip += ps.PrefetchSkip - op.PrefetchSkip
+		m.Pool.Evictions += ps.Evictions - op.Evictions
+		m.Pool.AllocWaits += ps.AllocWaits - op.AllocWaits
+		cu := float64(now.cpuBusy[i]-open.cpuBusy[i]) / window
 		m.CPUUtilAvg += cu
-		if cu > m.CPUUtilMax {
-			m.CPUUtilMax = cu
-		}
-		for _, d := range n.Disks() {
-			du := d.Utilization()
-			m.DiskUtilAvg += du
-			if du < m.DiskUtilMin {
-				m.DiskUtilMin = du
-			}
-			if du > m.DiskUtilMax {
-				m.DiskUtilMax = du
-			}
-			ds := d.Stats()
-			m.DiskFailStops += ds.FailStops
-			m.DiskAbandoned += ds.Abandoned
-			m.DiskRejects += ds.Rejects
-			m.DiskDownTime += ds.DownTime
-			m.RebuildIOs += ds.RebuildOps
-			m.DiskReads += ds.Served
-		}
+		m.CPUUtilMax = max(m.CPUUtilMax, cu)
+	}
+	m.DiskUtilMin = 2
+	for g := range now.disks {
+		du := float64(now.diskBusy[g]-open.diskBusy[g]) / window
+		m.DiskUtilAvg += du
+		m.DiskUtilMin = min(m.DiskUtilMin, du)
+		m.DiskUtilMax = max(m.DiskUtilMax, du)
+		ds, od := &now.disks[g], &open.disks[g]
+		m.DiskFailStops += ds.FailStops - od.FailStops
+		m.DiskAbandoned += ds.Abandoned - od.Abandoned
+		m.DiskRejects += ds.Rejects - od.Rejects
+		m.DiskDownTime += ds.DownTime - od.DownTime
+		m.RebuildIOs += ds.RebuildOps - od.RebuildOps
+		m.DiskReads += ds.Served - od.Served
 	}
 	for _, c := range s.caches {
 		cs := c.Stats()
@@ -634,20 +655,6 @@ func (s *Simulation) Run() (Metrics, error) {
 	m.RespTimeP99 = sim.DurationOfSeconds(s.respHist.Quantile(0.99))
 	m.Trace = s.rec.Snapshot()
 	return m, nil
-}
-
-// RespTimeSumAdd folds one terminal's response-time stats into the
-// metrics (average finalized lazily).
-func (m *Metrics) RespTimeSumAdd(st terminal.Stats) {
-	if st.BlocksReceived > 0 {
-		// Accumulate a weighted average incrementally.
-		total := m.RespTimeAvg*sim.Duration(m.respBlocks) + st.RespTimeSum
-		m.respBlocks += st.BlocksReceived
-		m.RespTimeAvg = total / sim.Duration(m.respBlocks)
-	}
-	if st.RespTimeMax > m.RespTimeMax {
-		m.RespTimeMax = st.RespTimeMax
-	}
 }
 
 // Run builds and runs a configuration in one call.

@@ -60,11 +60,9 @@ func (c *CPU) Send(p *sim.Proc) { c.Execute(p, c.costs.Send) }
 // Receive charges the message receive cost.
 func (c *CPU) Receive(p *sim.Proc) { c.Execute(p, c.costs.Receive) }
 
-// Utilization reports the busy fraction of the measurement window.
-func (c *CPU) Utilization() float64 { return c.fac.Utilization() }
-
-// ResetStats restarts the measurement window.
-func (c *CPU) ResetStats() { c.fac.ResetStats() }
+// BusyTime reports the CPU's lifetime busy time, including the
+// instruction burst in progress.
+func (c *CPU) BusyTime() sim.Duration { return c.fac.BusyTime() }
 
 // Costs returns the configured instruction costs.
 func (c *CPU) Costs() Costs { return c.costs }

@@ -77,7 +77,7 @@ func TestUtilization(t *testing.T) {
 	if err := k.Run(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Utilization(); math.Abs(got-0.5) > 0.01 {
+	if got := c.BusyTime().Seconds(); math.Abs(got-0.5) > 0.01 {
 		t.Fatalf("utilization = %v, want 0.5", got)
 	}
 }

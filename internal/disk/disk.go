@@ -70,16 +70,13 @@ type cacheContext struct {
 	used       bool
 }
 
-// Stats aggregates the measurement-window counters of one disk.
+// Stats aggregates the lifetime counters of one disk.
 type Stats struct {
 	Served       int64
 	PrefetchOps  int64
-	BusyTime     sim.Duration
-	SeekTime     sim.Duration
-	RotTime      sim.Duration
+	BusyTime     sim.Duration // completed service periods only; see Disk.BusyTime
 	TransferTime sim.Duration
 	CacheHits    int64
-	QueuePeak    int
 
 	// Degraded-mode counters (fault injection).
 	FailStops int64        // fail-stop events applied to this disk
@@ -110,10 +107,9 @@ type Disk struct {
 	headCyl  int
 	contexts []cacheContext
 
-	busy        bool
-	busyStart   sim.Time
-	windowStart sim.Time
-	stats       Stats
+	busy      bool
+	busyStart sim.Time
+	stats     Stats
 
 	idleProc *sim.Proc // service process parked waiting for work
 	seq      uint64
@@ -222,11 +218,7 @@ func (d *Disk) Submit(r *dsched.Request) {
 		return
 	}
 	d.sched.Add(r)
-	l := d.sched.Len()
-	if l > d.stats.QueuePeak {
-		d.stats.QueuePeak = l
-	}
-	d.rec.DiskEnqueue(d.id, r.Terminal, r.Deadline, r.Prefetch, l)
+	d.rec.DiskEnqueue(d.id, r.Terminal, r.Deadline, r.Prefetch, d.sched.Len())
 	if d.idleProc != nil {
 		p := d.idleProc
 		d.idleProc = nil
@@ -291,9 +283,6 @@ func (d *Disk) access(r *dsched.Request) sim.Duration {
 		rot = sim.Duration(d.src.Float64() * float64(d.params.RotationTime))
 	}
 	xfer := d.transferTime(r.Offset, r.Size)
-
-	d.stats.SeekTime += seek
-	d.stats.RotTime += rot
 	d.stats.TransferTime += xfer
 
 	end := r.Offset + r.Size
@@ -404,29 +393,16 @@ func (d *Disk) maybeRepair(at sim.Time) {
 // Failed reports whether the drive is currently fail-stopped.
 func (d *Disk) Failed() bool { return d.failed }
 
-// ResetStats restarts the measurement window (discarding warm-up).
-func (d *Disk) ResetStats() {
-	d.stats = Stats{}
-	d.windowStart = d.k.Now()
-	if d.busy {
-		d.busyStart = d.k.Now()
-	}
-}
-
-// Stats returns a copy of the window counters.
+// Stats returns a copy of the lifetime counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// Utilization reports the busy fraction of the measurement window.
-func (d *Disk) Utilization() float64 {
-	window := d.k.Now().Sub(d.windowStart)
-	if window <= 0 {
-		return 0
-	}
-	busy := d.stats.BusyTime
+// BusyTime reports the drive's lifetime busy time, including the
+// access in progress.
+func (d *Disk) BusyTime() sim.Duration {
 	if d.busy {
-		busy += d.k.Now().Sub(d.busyStart)
+		return d.stats.BusyTime + d.k.Now().Sub(d.busyStart)
 	}
-	return float64(busy) / float64(window)
+	return d.stats.BusyTime
 }
 
 func absInt(x int) int {

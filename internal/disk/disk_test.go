@@ -195,19 +195,19 @@ func TestUtilizationAndReset(t *testing.T) {
 	if err := k.Run(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	u := d.Utilization()
-	if u < 0.08 || u > 0.15 {
+	open := d.BusyTime()
+	if u := open.Seconds(); u < 0.08 || u > 0.15 {
 		t.Fatalf("utilization = %v, want ~0.1", u)
 	}
-	d.ResetStats()
+	// A window opened now sees only its own (idle) second.
 	if err := k.Run(sim.Time(2 * sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Utilization(); got != 0 {
-		t.Fatalf("post-reset idle utilization = %v, want 0", got)
+	if got := d.BusyTime() - open; got != 0 {
+		t.Fatalf("idle window busy time = %v, want 0", got)
 	}
-	if d.Stats().Served != 0 {
-		t.Fatal("reset must clear served count")
+	if d.Stats().Served != 1 {
+		t.Fatalf("served = %d, want the lifetime 1", d.Stats().Served)
 	}
 }
 

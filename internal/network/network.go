@@ -44,7 +44,6 @@ type Network struct {
 	k       *sim.Kernel
 	params  Params
 	meter   *stats.PeakRateMeter
-	sent    int64
 	hook    Hook
 	dropped int64
 	rec     *trace.Recorder // nil unless tracing is enabled
@@ -71,7 +70,6 @@ func (n *Network) WireDelay(size int64) sim.Duration {
 // costs are charged by the endpoints, not here.
 func (n *Network) Send(size int64, deliver func()) {
 	n.meter.Record(n.k.Now().Seconds(), float64(size))
-	n.sent++
 	delay := n.WireDelay(size)
 	if n.hook != nil {
 		drop, extra := n.hook.Mangle(size)
@@ -102,12 +100,8 @@ func (n *Network) PeakAggregateBandwidth() float64 { return n.meter.PeakRate() }
 // TotalBytes returns the total payload bytes carried.
 func (n *Network) TotalBytes() float64 { return n.meter.Total() }
 
-// Messages returns the number of messages carried.
-func (n *Network) Messages() int64 { return n.sent }
-
 // ResetStats restarts bandwidth metering (to discard warm-up).
 func (n *Network) ResetStats() {
 	n.meter.Reset()
-	n.sent = 0
 	n.dropped = 0
 }

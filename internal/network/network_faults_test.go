@@ -74,8 +74,8 @@ func TestHookDropsAndJitters(t *testing.T) {
 	}
 	// Dropped messages are still metered (the sender did put them on the
 	// wire) but the drop counter resets with the window stats.
-	if n.Messages() != 6 {
-		t.Fatalf("messages = %d, want 6", n.Messages())
+	if n.TotalBytes() != 6000 {
+		t.Fatalf("metered %v bytes, want all 6 messages' 6000", n.TotalBytes())
 	}
 	n.ResetStats()
 	if n.Dropped() != 0 {

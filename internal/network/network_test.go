@@ -73,11 +73,8 @@ func TestBandwidthMetering(t *testing.T) {
 	if got := n.TotalBytes(); got != 4_000_000 {
 		t.Fatalf("total = %v", got)
 	}
-	if n.Messages() != 2 {
-		t.Fatalf("messages = %d", n.Messages())
-	}
 	n.ResetStats()
-	if n.TotalBytes() != 0 || n.Messages() != 0 {
+	if n.TotalBytes() != 0 {
 		t.Fatal("reset did not clear")
 	}
 }

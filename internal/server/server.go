@@ -41,7 +41,7 @@ type Config struct {
 	ZonedDisks *disk.ZonedParams
 }
 
-// Stats aggregates a node's measurement-window counters.
+// Stats aggregates a node's lifetime counters.
 type Stats struct {
 	Requests    int64 // demand block requests handled
 	Prefetches  int64 // prefetch disk reads issued
@@ -195,20 +195,8 @@ func (n *Node) SetTrace(rec *trace.Recorder) { n.rec = rec }
 // up, with the outage duration (nil = none).
 func (n *Node) SetRestartHook(fn func(downtime sim.Duration)) { n.restartHook = fn }
 
-// SetCache attaches the node's prefix cache (nil = tier disabled). The
-// cache's counters are lifetime, so ResetStats leaves it alone.
+// SetCache attaches the node's prefix cache (nil = tier disabled).
 func (n *Node) SetCache(c *cache.Cache) { n.cache = c }
-
-// ResetStats restarts the measurement window on the node and everything
-// it owns.
-func (n *Node) ResetStats() {
-	n.stats = Stats{}
-	n.cpu.ResetStats()
-	n.pool.ResetStats()
-	for _, d := range n.disks {
-		d.ResetStats()
-	}
-}
 
 // DeliverRequest accepts a block request off the network (kernel
 // context) and spawns a handler process for it. A crashed node drops the

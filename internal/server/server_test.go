@@ -189,24 +189,6 @@ func TestMisroutedRequestPanics(t *testing.T) {
 	}
 }
 
-func TestResetStatsClearsWindow(t *testing.T) {
-	r := newRig(t, baseCfg())
-	defer r.k.Close()
-	r.k.At(0, func() { r.request(0, 0, 1, sim.Time(10*sim.Second)) })
-	if err := r.k.Run(sim.Time(2 * sim.Second)); err != nil {
-		t.Fatal(err)
-	}
-	r.node.ResetStats()
-	if r.node.Stats().Requests != 0 || r.node.Pool().Stats().DemandRefs != 0 {
-		t.Fatal("reset did not clear node counters")
-	}
-	for _, d := range r.node.Disks() {
-		if d.Stats().Served != 0 {
-			t.Fatal("reset did not clear disk counters")
-		}
-	}
-}
-
 func TestCPUChargedForRequestHandling(t *testing.T) {
 	r := newRig(t, baseCfg())
 	defer r.k.Close()
@@ -214,8 +196,8 @@ func TestCPUChargedForRequestHandling(t *testing.T) {
 	if err := r.k.Run(sim.Time(2 * sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if r.node.CPU().Utilization() <= 0 {
-		t.Fatal("CPU shows zero utilization after handling a request")
+	if r.node.CPU().BusyTime() <= 0 {
+		t.Fatal("CPU shows zero busy time after handling a request")
 	}
 }
 

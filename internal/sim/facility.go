@@ -2,8 +2,8 @@ package sim
 
 // Facility is a single server with a FIFO queue, the CSIM notion used here
 // to model CPUs. A process holds the facility for a service duration;
-// contenders queue in arrival order. Utilization statistics are tracked
-// against a measurement window that can be reset (to discard warm-up).
+// contenders queue in arrival order. BusyTime is a lifetime total; a
+// measurement window's utilization is the difference of two readings.
 type Facility struct {
 	k    *Kernel
 	name string
@@ -11,11 +11,8 @@ type Facility struct {
 	busy  bool
 	queue []*Proc
 
-	busyStart   Time // valid when busy
-	windowStart Time
-	busyTime    Duration
-	served      int64
-	queuedPeak  int
+	busyStart Time // valid when busy
+	busyTime  Duration
 }
 
 // NewFacility creates an idle facility.
@@ -36,9 +33,6 @@ func (f *Facility) Use(p *Proc, d Duration) {
 func (f *Facility) Acquire(p *Proc) {
 	if f.busy {
 		f.queue = append(f.queue, p)
-		if len(f.queue) > f.queuedPeak {
-			f.queuedPeak = len(f.queue)
-		}
 		p.Block()
 		// Ownership was transferred to us by Release; busy stays true.
 		return
@@ -50,7 +44,6 @@ func (f *Facility) Acquire(p *Proc) {
 // Release gives up ownership. If waiters are queued the facility stays
 // busy and the head waiter becomes the owner.
 func (f *Facility) Release() {
-	f.served++
 	if len(f.queue) > 0 {
 		w := f.queue[0]
 		copy(f.queue, f.queue[1:])
@@ -62,37 +55,14 @@ func (f *Facility) Release() {
 	f.busyTime += f.k.now.Sub(f.busyStart)
 }
 
-// ResetStats restarts the utilization window at the current time,
-// discarding accumulated busy time (used to exclude warm-up).
-func (f *Facility) ResetStats() {
-	f.busyTime = 0
-	f.served = 0
-	f.queuedPeak = 0
-	f.windowStart = f.k.now
+// BusyTime reports the time the facility has been held since it was
+// created, including the service period in progress.
+func (f *Facility) BusyTime() Duration {
 	if f.busy {
-		f.busyStart = f.k.now
+		return f.busyTime + f.k.now.Sub(f.busyStart)
 	}
+	return f.busyTime
 }
-
-// Utilization reports the fraction of the measurement window the facility
-// was busy, in [0, 1].
-func (f *Facility) Utilization() float64 {
-	window := f.k.now.Sub(f.windowStart)
-	if window <= 0 {
-		return 0
-	}
-	busy := f.busyTime
-	if f.busy {
-		busy += f.k.now.Sub(f.busyStart)
-	}
-	return float64(busy) / float64(window)
-}
-
-// Served reports the number of completed service periods in the window.
-func (f *Facility) Served() int64 { return f.served }
-
-// QueuedPeak reports the maximum queue length observed in the window.
-func (f *Facility) QueuedPeak() int { return f.queuedPeak }
 
 // Name returns the facility's diagnostic name.
 func (f *Facility) Name() string { return f.name }

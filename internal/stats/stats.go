@@ -158,14 +158,6 @@ func (m *PeakRateMeter) PeakRate() float64 {
 // Total returns the total bytes recorded.
 func (m *PeakRateMeter) Total() float64 { return m.total }
 
-// MeanRate returns the average rate over [t0, t1] in bytes/second.
-func (m *PeakRateMeter) MeanRate(t0, t1 float64) float64 {
-	if t1 <= t0 {
-		return 0
-	}
-	return m.total / (t1 - t0)
-}
-
 // Reset discards all recorded bytes.
 func (m *PeakRateMeter) Reset() {
 	m.bucket, m.current, m.peak, m.total, m.started = 0, 0, 0, 0, false

@@ -168,24 +168,15 @@ func (t *Terminal) loseBlock(block int, size int64, cause glitchCause) {
 	delete(t.pending, block)
 	t.outstanding -= size
 	t.stats.LostBlocks++
-	t.stats.GlitchesTotal++
+	t.stats.Glitches++
 	traceCause := trace.CauseTimeout
 	if cause == causeDiskFail {
 		traceCause = trace.CauseDiskFail
-		t.stats.GlitchesDiskFailTotal++
+		t.stats.GlitchesDiskFail++
 	} else {
-		t.stats.GlitchesTimeoutTotal++
+		t.stats.GlitchesTimeout++
 	}
 	t.rec.TermGlitch(t.id, traceCause, t.vid, block, t.BufferedBytes())
-	if t.measuring() {
-		t.stats.Glitches++
-		switch cause {
-		case causeDiskFail:
-			t.stats.GlitchesDiskFail++
-		default:
-			t.stats.GlitchesTimeout++
-		}
-	}
 	t.admit(block, size)
 	t.wakeOnArrival()
 }

@@ -268,10 +268,10 @@ func TestAdmissionRejectRetryLoop(t *testing.T) {
 	cfg := baseCfg()
 	cfg.RandomInitialPosition = false
 	cfg.Admission = &rejectingGate{rejects: 3}
-	cfg.AdmitRetryDelay = 100 * sim.Millisecond
 	rig := newRig(t, cfg, 5*sim.Millisecond)
 	rig.term.Start(0)
-	if err := rig.k.Run(sim.Time(40 * sim.Second)); err != nil {
+	// Three backoffs of at most 2x admitRetryDelay each, then a 30 s movie.
+	if err := rig.k.Run(sim.Time(90 * sim.Second)); err != nil {
 		t.Fatal(err)
 	}
 	rig.k.Close()

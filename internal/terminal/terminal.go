@@ -97,11 +97,8 @@ type Config struct {
 	Merger Merger           // nil = no stream merging (cache tier off)
 
 	// Admission, when non-nil, gates every movie start on an admission
-	// slot; AdmitRetryDelay is the base backoff after a rejection
-	// (jittered from the terminal's derived stream so rejected streams
-	// spread out; zero picks 5s).
-	Admission       AdmissionGate
-	AdmitRetryDelay sim.Duration
+	// slot; a rejected start backs off admitRetryDelay, jittered.
+	Admission AdmissionGate
 
 	// OnRespTime, when non-nil, observes every block request's round
 	// trip (the assembly feeds a shared latency histogram).
@@ -165,10 +162,14 @@ type Config struct {
 	Failover bool
 }
 
-// Stats aggregates one terminal's counters.
+// Stats aggregates one terminal's counters. Every counter is a lifetime
+// total since simulation start; the assembly takes the measurement
+// window as the difference of two readings. A maximum cannot be
+// differenced, so the window maxima (RespTimeMax, SeekRePrimeMax,
+// RecoveryMax) record only while the window is open; FailoverLatMax
+// spans the run.
 type Stats struct {
-	Glitches        int64 // glitches inside the measurement window
-	GlitchesTotal   int64 // glitches since simulation start
+	Glitches        int64
 	MoviesStarted   int64
 	MoviesCompleted int64
 	BlocksReceived  int64
@@ -185,27 +186,20 @@ type Stats struct {
 	SeekRePrimeMax sim.Duration
 
 	// Degraded-mode counters (fault injection). The per-cause glitch
-	// counters break the window's glitches down by what the viewer saw:
-	// a frozen picture (buffer underrun) or missing data played over
-	// (a block abandoned after NACKs from a dead disk, or after repeated
-	// timeouts when requests or replies were lost).
+	// counters break Glitches down by what the viewer saw: a frozen
+	// picture (buffer underrun) or missing data played over (a block
+	// abandoned after NACKs from a dead disk, or after repeated timeouts
+	// when requests or replies were lost).
 	GlitchesUnderrun int64
 	GlitchesDiskFail int64
 	GlitchesTimeout  int64
-	// The *Total variants are lifetime (never window-reset) per-cause
-	// counters partitioning GlitchesTotal; the workload layer's
-	// phase-bucketed metrics difference them at phase boundaries, which
-	// straddle the measurement window.
-	GlitchesUnderrunTotal int64
-	GlitchesDiskFailTotal int64
-	GlitchesTimeoutTotal  int64
-	Nacks                 int64 // NACK replies received
-	Retries               int64 // re-issued requests
-	Timeouts              int64 // request timeouts fired
-	LostBlocks            int64 // blocks abandoned after the final retry
-	Recoveries            int64 // completed glitch-to-resume recoveries
-	RecoverySum           sim.Duration
-	RecoveryMax           sim.Duration
+	Nacks            int64 // NACK replies received
+	Retries          int64 // re-issued requests
+	Timeouts         int64 // request timeouts fired
+	LostBlocks       int64 // blocks abandoned after the final retry
+	Recoveries       int64 // completed glitch-to-resume recoveries
+	RecoverySum      sim.Duration
+	RecoveryMax      sim.Duration
 
 	// Overload-control counters: admission rejections seen by this
 	// terminal, and blocks/frames skipped while shed to degraded mode.
@@ -213,7 +207,7 @@ type Stats struct {
 	DegradedBlocks int64
 	DegradedFrames int64
 
-	// Failover session accounting (lifetime, not window-reset: a crash
+	// Failover session accounting (reported over the whole run: a crash
 	// may straddle the measurement boundary). A session is "impacted"
 	// when one of its request timeouts finds the target node suspect;
 	// it is "recovered" when a later first-attempt read of a block whose
@@ -231,7 +225,7 @@ type Stats struct {
 
 	// MergeDetaches counts mid-stream exits from a merged stream (leader
 	// departed, seek, or buffer pressure), after which the terminal
-	// fetches for itself. Lifetime, not window-reset: a merge may
+	// fetches for itself. Reported over the whole run: a merge may
 	// straddle the measurement boundary.
 	MergeDetaches int64
 }
@@ -250,7 +244,8 @@ type Terminal struct {
 	// selectVideo draws the next movie (Zipf or uniform over the
 	// library); wired by the simulation assembly.
 	selectVideo func() int
-	// measuring gates glitch counting to the measurement window.
+	// measuring reports whether the measurement window is open; it
+	// gates the window maxima in Stats.
 	measuring func() bool
 	// onStarted fires once, when the terminal first begins display.
 	onStarted func()
@@ -367,37 +362,6 @@ func (t *Terminal) SetTrace(rec *trace.Recorder) { t.rec = rec }
 
 // Stats returns a copy of the terminal's counters.
 func (t *Terminal) Stats() Stats { return t.stats }
-
-// ResetWindowStats zeroes the measurement-window counters (blocks,
-// response times, movies, glitches) while keeping lifetime counters
-// (GlitchesTotal, MoviesStarted).
-func (t *Terminal) ResetWindowStats() {
-	t.stats.Glitches = 0
-	t.stats.BlocksReceived = 0
-	t.stats.BytesReceived = 0
-	t.stats.RespTimeSum = 0
-	t.stats.RespTimeMax = 0
-	t.stats.MoviesCompleted = 0
-	t.stats.Primes = 0
-	t.stats.Seeks = 0
-	t.stats.SkimBlocks = 0
-	t.stats.StaleDrops = 0
-	t.stats.SeekRePrimeSum = 0
-	t.stats.SeekRePrimeMax = 0
-	t.stats.GlitchesUnderrun = 0
-	t.stats.GlitchesDiskFail = 0
-	t.stats.GlitchesTimeout = 0
-	t.stats.Nacks = 0
-	t.stats.Retries = 0
-	t.stats.Timeouts = 0
-	t.stats.LostBlocks = 0
-	t.stats.Recoveries = 0
-	t.stats.RecoverySum = 0
-	t.stats.RecoveryMax = 0
-	t.stats.AdmRejects = 0
-	t.stats.DegradedBlocks = 0
-	t.stats.DegradedFrames = 0
-}
 
 // Started reports whether the terminal has begun displaying its first
 // movie (the simulator's warm-up gate, §6).
@@ -573,6 +537,11 @@ func (t *Terminal) resolveSessionEnd() {
 // so Impacted == Recovered + Lost holds in the final metrics.
 func (t *Terminal) CloseSessionAccounting() { t.resolveSessionEnd() }
 
+// admitRetryDelay is the base backoff after an admission rejection,
+// jittered from the terminal's derived stream so rejected streams
+// spread out.
+const admitRetryDelay = 5 * sim.Second
+
 // awaitAdmission claims a stream slot before each movie, looping
 // through the rejection (NACK) path with jittered backoff. A terminal
 // queued or rejected counts as started: it is an active viewer the
@@ -589,12 +558,7 @@ func (t *Terminal) awaitAdmission(p *sim.Proc) {
 		}
 		t.noteStarted()
 		t.stats.AdmRejects++
-		delay := t.cfg.AdmitRetryDelay
-		if delay <= 0 {
-			delay = 5 * sim.Second
-		}
-		delay += sim.Duration(t.jit.Float64() * float64(delay))
-		p.Sleep(delay)
+		p.Sleep(admitRetryDelay + sim.Duration(t.jit.Float64()*float64(admitRetryDelay)))
 	}
 }
 
@@ -677,7 +641,7 @@ func (t *Terminal) playMovie(p *sim.Proc) {
 			t.glitchAt = 0
 			t.stats.Recoveries++
 			t.stats.RecoverySum += recovered
-			if recovered > t.stats.RecoveryMax {
+			if recovered > t.stats.RecoveryMax && t.measuring() {
 				t.stats.RecoveryMax = recovered
 			}
 		}
@@ -687,7 +651,7 @@ func (t *Terminal) playMovie(p *sim.Proc) {
 			// the user-visible seek-to-resume latency.
 			lat := t.k.Now().Sub(t.seekStarted)
 			t.stats.SeekRePrimeSum += lat
-			if lat > t.stats.SeekRePrimeMax {
+			if lat > t.stats.SeekRePrimeMax && t.measuring() {
 				t.stats.SeekRePrimeMax = lat
 			}
 			t.seekStarted = 0
@@ -714,14 +678,10 @@ func (t *Terminal) playMovie(p *sim.Proc) {
 			// Glitch: the buffer ran dry mid-movie (§5.1). Re-prime
 			// fully before restarting so a second glitch does not
 			// follow at once.
-			t.stats.GlitchesTotal++
-			t.stats.GlitchesUnderrunTotal++
+			t.stats.Glitches++
+			t.stats.GlitchesUnderrun++
 			t.glitchAt = t.k.Now()
 			t.rec.TermGlitch(t.id, trace.CauseUnderrun, t.vid, t.consumedFrames, t.BufferedBytes())
-			if t.measuring() {
-				t.stats.Glitches++
-				t.stats.GlitchesUnderrun++
-			}
 		}
 	}
 }
@@ -1126,7 +1086,7 @@ func (t *Terminal) applyArrival(req *proto.BlockRequest) {
 	t.stats.BytesReceived += req.Size
 	rt := t.k.Now().Sub(req.Issued)
 	t.stats.RespTimeSum += rt
-	if rt > t.stats.RespTimeMax {
+	if rt > t.stats.RespTimeMax && t.measuring() {
 		t.stats.RespTimeMax = rt
 	}
 	if t.cfg.OnRespTime != nil {

@@ -35,10 +35,10 @@ func TestSeeksExecuteAndMovieCompletes(t *testing.T) {
 	}
 	if st.MoviesCompleted < 1 {
 		t.Fatalf("movie never completed across seeks (seeks=%d glitches=%d)",
-			st.Seeks, st.GlitchesTotal)
+			st.Seeks, st.Glitches)
 	}
-	if st.GlitchesTotal != 0 {
-		t.Fatalf("seeking caused %d glitches with a fast server", st.GlitchesTotal)
+	if st.Glitches != 0 {
+		t.Fatalf("seeking caused %d glitches with a fast server", st.Glitches)
 	}
 	if st.SeekRePrimeMax <= 0 {
 		t.Fatal("seek re-prime latency not recorded")
