@@ -61,11 +61,12 @@ func (a Analysis) WorstCaseTerminals() int { return a.terminalsAt(a.WorstCaseAcc
 // ignoring scheduling gains (elevator batching) and buffer-pool sharing.
 func (a Analysis) ExpectedCaseTerminals() int { return a.terminalsAt(a.ExpectedAccess()) }
 
-// waiter is one stream blocked in the admission queue. admitted and
-// rejected resolve the race between a slot handoff and the patience
-// timer: whichever fires first marks the waiter, the other is a no-op.
+// waiter is one stream blocked in the admission queue, parked on its own
+// queue. admitted and rejected resolve the race between a slot handoff
+// and the patience timer: whichever fires first marks the waiter, the
+// other is a no-op.
 type waiter struct {
-	p        *sim.Proc
+	q        sim.Queue
 	terminal int
 	enq      sim.Time
 	admitted bool
@@ -149,7 +150,7 @@ func (c *Controller) admit(p *sim.Proc, terminal int, failover bool) bool {
 	}
 	c.Waited++
 	c.rec.AdmWait(terminal, c.active, c.limit)
-	w := &waiter{p: p, terminal: terminal, enq: c.k.Now()}
+	w := &waiter{terminal: terminal, enq: c.k.Now()}
 	if failover {
 		c.prio = append(c.prio, w)
 	} else {
@@ -158,7 +159,7 @@ func (c *Controller) admit(p *sim.Proc, terminal int, failover bool) bool {
 	if c.patience > 0 {
 		c.k.After(c.patience, func() { c.expire(w) })
 	}
-	p.Block()
+	w.q.Wait(p)
 	wait := c.k.Now().Sub(w.enq)
 	c.WaitSum += wait
 	if w.rejected {
@@ -209,7 +210,7 @@ func (c *Controller) expire(w *waiter) {
 		}
 	}
 	w.rejected = true
-	c.k.Wake(w.p)
+	w.q.Signal()
 }
 
 // Release returns a stream slot. While the admitted population is
@@ -228,7 +229,7 @@ func (c *Controller) Release(terminal int) {
 		if w := c.popWaiter(); w != nil {
 			w.admitted = true
 			c.rec.AdmRelease(terminal, c.active, c.limit)
-			c.k.Wake(w.p)
+			w.q.Signal()
 			return
 		}
 	}
@@ -251,7 +252,7 @@ func (c *Controller) SetLimit(n int) {
 		}
 		w.admitted = true
 		c.active++
-		c.k.Wake(w.p)
+		w.q.Signal()
 	}
 }
 

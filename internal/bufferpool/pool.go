@@ -69,7 +69,7 @@ type Pool struct {
 	free     int
 	table    map[PageID]*Page
 	policy   Policy
-	waiters  []*sim.Proc
+	waiters  sim.Queue // processes waiting for a frame
 	stats    Stats
 
 	rec  *trace.Recorder // nil unless tracing is enabled
@@ -134,8 +134,7 @@ func (b *Pool) Acquire(p *sim.Proc, id PageID, terminal int, prefetch bool) (*Pa
 			continue
 		}
 		b.stats.AllocWaits++
-		b.waiters = append(b.waiters, p)
-		p.Block()
+		b.waiters.Wait(p)
 		// Re-check everything: the world changed while we slept.
 	}
 }
@@ -177,7 +176,7 @@ func (b *Pool) insertNew(id PageID, terminal int, prefetch bool) *Page {
 		ID:    id,
 		state: stateFetching,
 		pin:   1,
-		Ready: sim.NewEvent(b.k),
+		Ready: new(sim.Event),
 	}
 	if prefetch {
 		b.rec.PoolPrefetch(b.node, terminal, id.Video, id.Block)
@@ -248,15 +247,7 @@ func (b *Pool) Unpin(pg *Page) {
 }
 
 // wakeWaiter unblocks the oldest process waiting for a frame, if any.
-func (b *Pool) wakeWaiter() {
-	if len(b.waiters) == 0 {
-		return
-	}
-	w := b.waiters[0]
-	copy(b.waiters, b.waiters[1:])
-	b.waiters = b.waiters[:len(b.waiters)-1]
-	b.k.Wake(w)
-}
+func (b *Pool) wakeWaiter() { b.waiters.Signal() }
 
 // Stats returns a copy of the counters.
 func (b *Pool) Stats() Stats { return b.stats }

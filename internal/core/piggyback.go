@@ -35,7 +35,7 @@ func newPiggyCoordinator(k *sim.Kernel, delay sim.Duration) *piggyCoordinator {
 func (c *piggyCoordinator) JoinOrLead(p *sim.Proc, term, video int) bool {
 	b, ok := c.open[video]
 	if !ok {
-		b = &piggyBatch{leader: term, closed: sim.NewEvent(c.k)}
+		b = &piggyBatch{leader: term, closed: new(sim.Event)}
 		c.open[video] = b
 		c.k.After(c.delay, func() {
 			delete(c.open, video)

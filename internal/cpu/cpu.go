@@ -32,7 +32,7 @@ func New(k *sim.Kernel, id int, mips float64, costs Costs) *CPU {
 		panic("cpu: non-positive MIPS")
 	}
 	return &CPU{
-		fac:   sim.NewFacility(k, "cpu"),
+		fac:   sim.NewFacility(k),
 		mips:  mips,
 		costs: costs,
 	}

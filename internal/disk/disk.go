@@ -111,8 +111,8 @@ type Disk struct {
 	busyStart sim.Time
 	stats     Stats
 
-	idleProc *sim.Proc // service process parked waiting for work
-	seq      uint64
+	idle sim.Queue // the service process, parked waiting for work
+	seq  uint64
 
 	// Fault injection: while now < slowUntil every access is stretched
 	// by slowFactor (a degraded drive — recalibration storms, vibration,
@@ -219,11 +219,7 @@ func (d *Disk) Submit(r *dsched.Request) {
 	}
 	d.sched.Add(r)
 	d.rec.DiskEnqueue(d.id, r.Terminal, r.Deadline, r.Prefetch, d.sched.Len())
-	if d.idleProc != nil {
-		p := d.idleProc
-		d.idleProc = nil
-		d.k.Wake(p)
-	}
+	d.idle.Signal()
 }
 
 // run is the drive's service loop: pick per the scheduling policy,
@@ -232,8 +228,7 @@ func (d *Disk) run(p *sim.Proc) {
 	for {
 		r := d.sched.Next(d.k.Now(), d.headCyl)
 		if r == nil {
-			d.idleProc = p
-			p.Block()
+			d.idle.Wait(p)
 			continue
 		}
 		d.busy = true

@@ -70,9 +70,9 @@ type Deadline struct {
 
 	heap    []Job
 	seq     uint64
-	waiters []*sim.Proc // parked workers
-	timer   bool        // a release timer is pending
-	timerAt sim.Time    // when the pending timer fires
+	waiters sim.Queue // parked workers
+	timer   bool      // a release timer is pending
+	timerAt sim.Time  // when the pending timer fires
 }
 
 // NewDeadline creates a real-time (maxAdvance == 0) or delayed
@@ -119,23 +119,19 @@ func (d *Deadline) Get(p *sim.Proc) Job {
 			// arrive meanwhile, in which case kick() reschedules us.
 			d.armTimer(rel)
 		}
-		d.waiters = append(d.waiters, p)
-		p.Block()
+		d.waiters.Wait(p)
 	}
 }
 
 // kick wakes one parked worker if a job is currently eligible, or arms a
 // release timer otherwise.
 func (d *Deadline) kick() {
-	if len(d.waiters) == 0 || len(d.heap) == 0 {
+	if d.waiters.Len() == 0 || len(d.heap) == 0 {
 		return
 	}
 	rel := d.releaseTime(d.heap[0])
 	if rel <= d.k.Now() {
-		w := d.waiters[0]
-		copy(d.waiters, d.waiters[1:])
-		d.waiters = d.waiters[:len(d.waiters)-1]
-		d.k.Wake(w)
+		d.waiters.Signal()
 		return
 	}
 	d.armTimer(rel)

@@ -313,7 +313,7 @@ func (n *Node) reply(req *proto.BlockRequest, bytes int64) {
 // fetch and reports false. Caller keeps the pin either way.
 func (n *Node) readBlock(p *sim.Proc, pg *bufferpool.Page, addr layout.Address, deadline sim.Time, term int, isPrefetch bool) bool {
 	n.cpu.StartIO(p)
-	done := sim.NewEvent(n.k)
+	done := new(sim.Event)
 	dr := &dsched.Request{
 		Offset:   addr.Offset,
 		Size:     addr.Size,
@@ -384,7 +384,7 @@ func (n *Node) SetStaleCheck(fn func(video, block, copy int) bool) { n.stale = f
 // calling proc for the disk service time; a failed or crashed disk
 // fails the transfer immediately.
 func (n *Node) RebuildIO(p *sim.Proc, diskLocal int, offset, size int64) bool {
-	done := sim.NewEvent(n.k)
+	done := new(sim.Event)
 	dr := &dsched.Request{
 		Offset:   offset,
 		Size:     size,

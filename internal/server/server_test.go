@@ -250,7 +250,7 @@ func TestSequentialStreamMostlyPoolHits(t *testing.T) {
 	k := r.k
 	k.Spawn("stream", func(p *sim.Proc) {
 		for b := 0; b < 32; b++ {
-			done := sim.NewEvent(k)
+			done := new(sim.Event)
 			req := &proto.BlockRequest{
 				Video: 0, Block: b,
 				Size:     r.place.SizeOfBlock(0, b),

@@ -5,54 +5,33 @@ package sim
 // contenders queue in arrival order. BusyTime is a lifetime total; a
 // measurement window's utilization is the difference of two readings.
 type Facility struct {
-	k    *Kernel
-	name string
-
+	k     *Kernel
 	busy  bool
-	queue []*Proc
+	queue Queue
 
 	busyStart Time // valid when busy
 	busyTime  Duration
 }
 
 // NewFacility creates an idle facility.
-func NewFacility(k *Kernel, name string) *Facility {
-	return &Facility{k: k, name: name}
-}
+func NewFacility(k *Kernel) *Facility { return &Facility{k: k} }
 
 // Use acquires the facility FIFO, holds it for d, and releases it.
+// Ownership passes directly from a releasing user to the head waiter, so
+// the facility stays busy across the handover and later arrivals can
+// never barge.
 func (f *Facility) Use(p *Proc, d Duration) {
-	f.Acquire(p)
-	p.Sleep(d)
-	f.Release()
-}
-
-// Acquire takes ownership of the facility, queueing FIFO behind current
-// users. Ownership is handed directly to the head waiter on release, so
-// later arrivals can never barge.
-func (f *Facility) Acquire(p *Proc) {
 	if f.busy {
-		f.queue = append(f.queue, p)
-		p.Block()
-		// Ownership was transferred to us by Release; busy stays true.
-		return
+		f.queue.Wait(p)
+	} else {
+		f.busy = true
+		f.busyStart = f.k.now
 	}
-	f.busy = true
-	f.busyStart = f.k.now
-}
-
-// Release gives up ownership. If waiters are queued the facility stays
-// busy and the head waiter becomes the owner.
-func (f *Facility) Release() {
-	if len(f.queue) > 0 {
-		w := f.queue[0]
-		copy(f.queue, f.queue[1:])
-		f.queue = f.queue[:len(f.queue)-1]
-		f.k.Wake(w)
-		return
+	p.Sleep(d)
+	if !f.queue.Signal() {
+		f.busy = false
+		f.busyTime += f.k.now.Sub(f.busyStart)
 	}
-	f.busy = false
-	f.busyTime += f.k.now.Sub(f.busyStart)
 }
 
 // BusyTime reports the time the facility has been held since it was
@@ -63,6 +42,3 @@ func (f *Facility) BusyTime() Duration {
 	}
 	return f.busyTime
 }
-
-// Name returns the facility's diagnostic name.
-func (f *Facility) Name() string { return f.name }

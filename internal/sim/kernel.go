@@ -3,13 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
 )
-
-// ErrKilled is the panic value used to unwind process goroutines when the
-// kernel shuts down. User code never observes it: the process wrapper
-// recovers it.
-var errKilled = errors.New("sim: process killed by kernel shutdown")
 
 // event is a calendar entry. fn runs in kernel context and must not block;
 // waking a process is done by scheduling its resumption, never inline.
@@ -19,25 +13,23 @@ type event struct {
 	fn  func()
 }
 
-// Kernel is the simulation executive: an event calendar plus the handoff
-// machinery that lets goroutine-based processes run one at a time.
+// Kernel is the simulation executive: an event calendar plus the
+// coroutines that run processes one at a time.
 //
 // A Kernel is not safe for concurrent use from multiple OS-level
-// goroutines other than via the process protocol; all user logic runs
-// either inside kernel-context event callbacks or inside processes.
+// goroutines; all user logic runs either inside kernel-context event
+// callbacks or inside processes.
 type Kernel struct {
 	now    Time
 	heap   []event
 	seq    uint64
 	events uint64 // total events dispatched
 
-	yield chan struct{} // process -> kernel: "I'm blocked or done"
+	coros []*coro // every coroutine started, parked, idle or finished
+	idle  []*coro // coroutines whose process returned, ready for reuse
 
-	live map[*Proc]struct{} // processes that have a parked goroutine
-
-	panicVal   any
-	panicStack []byte
-	closed     bool
+	err    error // a process panic or stray wake, reported by Run
+	closed bool
 
 	// MaxEvents, when non-zero, aborts Run with an error once that many
 	// events have been dispatched and more remain — the check happens
@@ -47,12 +39,7 @@ type Kernel struct {
 }
 
 // NewKernel returns a kernel with time zero and an empty calendar.
-func NewKernel() *Kernel {
-	return &Kernel{
-		yield: make(chan struct{}),
-		live:  make(map[*Proc]struct{}),
-	}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
@@ -80,7 +67,8 @@ func (k *Kernel) After(d Duration, fn func()) { k.At(k.now.Add(d), fn) }
 // Run dispatches events in (time, seq) order until the calendar is empty
 // or the next event lies beyond `until`, whichever comes first, then sets
 // the clock to `until`. Events exactly at `until` are dispatched. It
-// returns an error if a process panicked or MaxEvents was exceeded.
+// returns an error if a process panicked, a wake reached a process that
+// had returned, or MaxEvents was exceeded.
 func (k *Kernel) Run(until Time) error {
 	if k.closed {
 		return errors.New("sim: kernel is closed")
@@ -96,8 +84,9 @@ func (k *Kernel) Run(until Time) error {
 		k.now = ev.t
 		k.events++
 		ev.fn()
-		if k.panicVal != nil {
-			return fmt.Errorf("sim: process panic: %v\n%s", k.panicVal, k.panicStack)
+		if err := k.err; err != nil {
+			k.err = nil
+			return err
 		}
 	}
 	if until > k.now {
@@ -116,21 +105,26 @@ func (k *Kernel) RunAll() error {
 	return nil
 }
 
-// Close terminates every parked process goroutine. It must be called when
-// the kernel is discarded (typically via defer) so repeated simulations do
-// not leak goroutines. After Close the kernel cannot be used.
+// Close stops every coroutine, parked or idle, unwinding parked processes.
+// It must be called when the kernel is discarded (typically via defer) so
+// repeated simulations do not leak them. After Close the kernel cannot be
+// used.
 func (k *Kernel) Close() {
 	if k.closed {
 		return
 	}
 	k.closed = true
-	for p := range k.live {
-		p.kill = true
-		p.resume <- struct{}{}
-		<-k.yield
+	for _, c := range k.coros {
+		c.stop()
 	}
-	k.live = nil
-	k.heap = nil
+	k.coros, k.idle, k.heap = nil, nil, nil
+}
+
+// fail records the first error of a dispatch for Run to return.
+func (k *Kernel) fail(err error) {
+	if k.err == nil {
+		k.err = err
+	}
 }
 
 // --- binary min-heap on (t, seq) ---
@@ -177,11 +171,4 @@ func less(a, b event) bool {
 		return a.t < b.t
 	}
 	return a.seq < b.seq
-}
-
-func (k *Kernel) setPanic(v any) {
-	if k.panicVal == nil {
-		k.panicVal = v
-		k.panicStack = debug.Stack()
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -181,33 +182,130 @@ func TestMaxEventsExactFitIsNoError(t *testing.T) {
 	}
 }
 
+// Close stops every coroutine a kernel started: those parked under a
+// live process and those idle after their process returned.
 func TestCloseKillsParkedProcesses(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for trial := 0; trial < 20; trial++ {
 		k := NewKernel()
-		ev := NewEvent(k)
+		ev := new(Event)
 		for i := 0; i < 10; i++ {
 			k.Spawn("waiter", func(p *Proc) { ev.Wait(p) }) // parks forever
+			k.Spawn("done", func(p *Proc) { p.Sleep(1) })   // returns; coroutine idles
 		}
 		if err := k.Run(1000); err != nil {
 			t.Fatal(err)
 		}
+		if len(k.idle) == 0 {
+			t.Fatal("no idle coroutine after processes returned")
+		}
 		k.Close()
 	}
-	// Give the runtime a moment to retire goroutines.
-	for i := 0; i < 100; i++ {
-		runtime.Gosched()
-	}
 	after := runtime.NumGoroutine()
-	if after > before+5 {
+	for i := 0; i < 100 && after > before; i++ {
+		runtime.Gosched()
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
 		t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
+	}
+}
+
+// Processes that never overlap all run on the first one's coroutine.
+func TestSequentialSpawnsShareOneCoroutine(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	const n = 50
+	ran := 0
+	for i := 0; i < n; i++ {
+		k.SpawnAt(Time(10*i), "seq", func(p *Proc) {
+			p.Sleep(5)
+			ran++
+		})
+	}
+	if err := k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if ran != n {
+		t.Fatalf("ran %d of %d processes", ran, n)
+	}
+	if len(k.coros) != 1 || len(k.idle) != 1 {
+		t.Fatalf("coroutines = %d (idle %d), want 1 reused", len(k.coros), len(k.idle))
+	}
+}
+
+// A panicking process fails Run and takes its coroutine with it; the
+// kernel still runs processes spawned afterwards, on a fresh coroutine.
+func TestPanicDiscardsCoroutine(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	k.Spawn("bomb", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	err := k.RunAll()
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("RunAll = %v, want the process panic", err)
+	}
+	if len(k.idle) != 0 {
+		t.Fatal("a panicked process's coroutine went on the idle list")
+	}
+	ran := false
+	k.Spawn("after", func(p *Proc) {
+		p.Sleep(1)
+		ran = true
+	})
+	if err := k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("process spawned after a panic did not run")
+	}
+	if len(k.coros) != 2 || len(k.idle) != 1 {
+		t.Fatalf("coroutines = %d (idle %d), want the panicked one replaced", len(k.coros), len(k.idle))
+	}
+}
+
+// A wake that reaches a process after it returned fails Run, naming the
+// process, and does not resume the process now running on the reused
+// coroutine.
+func TestStrayWakeFailsRun(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	early := k.Spawn("early", func(p *Proc) {})
+	if err := k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	var q Queue
+	resumed := false
+	k.Spawn("later", func(p *Proc) {
+		q.Wait(p)
+		resumed = true
+	})
+	if err := k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(k.coros) != 1 {
+		t.Fatalf("coroutines = %d, want \"later\" on early's coroutine", len(k.coros))
+	}
+	early.wake()
+	err := k.RunAll()
+	if err == nil || !strings.Contains(err.Error(), `"early"`) {
+		t.Fatalf("RunAll = %v, want an error naming \"early\"", err)
+	}
+	if resumed {
+		t.Fatal("stray wake resumed the process on the reused coroutine")
+	}
+	q.Signal()
+	if err := k.RunAll(); err != nil || !resumed {
+		t.Fatalf("RunAll = %v, resumed = %v after a proper Signal", err, resumed)
 	}
 }
 
 func TestFacilityFIFOAndHoldTimes(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
-	f := NewFacility(k, "cpu")
+	f := NewFacility(k)
 	var order []int
 	var times []Time
 	for i := 0; i < 4; i++ {
@@ -234,7 +332,7 @@ func TestFacilityFIFOAndHoldTimes(t *testing.T) {
 func TestFacilityUtilization(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
-	f := NewFacility(k, "cpu")
+	f := NewFacility(k)
 	k.Spawn("user", func(p *Proc) {
 		f.Use(p, 30*Nanosecond) // busy [0,30)
 		p.Sleep(30)             // idle [30,60)
@@ -325,7 +423,7 @@ func TestMailboxMultipleWaitersServedInOrder(t *testing.T) {
 func TestEventWaitBeforeAndAfterFire(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
-	e := NewEvent(k)
+	e := new(Event)
 	var wokeAt []Time
 	k.Spawn("early", func(p *Proc) {
 		e.Wait(p)
@@ -350,7 +448,7 @@ func TestEventWaitBeforeAndAfterFire(t *testing.T) {
 func TestEventDoubleFireIsNoop(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
-	e := NewEvent(k)
+	e := new(Event)
 	woke := 0
 	k.Spawn("w", func(p *Proc) { e.Wait(p); woke++ })
 	k.At(10, func() { e.Fire(); e.Fire() })
@@ -369,7 +467,7 @@ func TestDeterminism(t *testing.T) {
 		k := NewKernel()
 		defer k.Close()
 		r := rand.New(rand.NewSource(seed))
-		f := NewFacility(k, "f")
+		f := NewFacility(k)
 		var trace []Time
 		for i := 0; i < 50; i++ {
 			start := Time(r.Intn(1000))
@@ -463,7 +561,7 @@ func TestWakeOrderingDeterministic(t *testing.T) {
 	// Multiple processes woken at the same instant resume in wake order.
 	k := NewKernel()
 	defer k.Close()
-	e := NewEvent(k)
+	e := new(Event)
 	var order []int
 	for i := 0; i < 8; i++ {
 		i := i

@@ -1,91 +1,121 @@
 package sim
 
-// Proc is a simulation process: a goroutine that runs user logic and
-// yields to the kernel whenever it waits for simulated time to pass or
-// for a condition to be signalled. At most one process runs at a time.
+import (
+	"errors"
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
+
+// errKilled is the panic value that unwinds a parked process when its
+// kernel closes. User code never observes it: the coroutine recovers it.
+var errKilled = errors.New("sim: process killed by kernel shutdown")
+
+// Proc is a simulation process: user logic running on a coroutine that
+// parks whenever it waits for simulated time to pass or for a Queue to be
+// signalled, handing control back to the kernel. At most one process runs
+// at a time.
 type Proc struct {
 	k      *Kernel
 	name   string
-	resume chan struct{}
-	kill   bool
+	fn     func(*Proc) // nil once the process has returned
+	co     *coro       // the coroutine running fn; nil until it starts
+	wakeup func()      // p.step, stored once so wakes allocate no closure
+}
+
+// coro is a coroutine that runs processes one after another: when one
+// returns, the coroutine goes on its kernel's idle list for a later Spawn.
+type coro struct {
+	p     *Proc                   // the process it runs; nil while idle
+	yield func(struct{}) bool     // parks the coroutine; false once stopped
+	next  func() (struct{}, bool) // runs the coroutine until it parks
+	stop  func()
 }
 
 // Spawn creates a process executing fn and schedules it to start at the
 // current simulated time (after already-scheduled events at this time).
-// The name appears in diagnostics only.
+// The name appears only in the error Run returns if a wake reaches the
+// process after it has returned.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return k.SpawnAt(k.now, name, fn)
 }
 
 // SpawnAt is Spawn with a delayed start time.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
-	k.live[p] = struct{}{}
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil && r != errKilled {
-				k.setPanic(r)
-			}
-			delete(k.live, p)
-			k.yield <- struct{}{}
-		}()
-		if p.kill {
-			panic(errKilled)
-		}
-		fn(p)
-	}()
-	k.At(t, func() { k.dispatch(p) })
+	p := &Proc{k: k, name: name, fn: fn}
+	p.wakeup = p.step
+	k.At(t, p.wakeup)
 	return p
 }
 
-// dispatch transfers control to p and waits until p blocks or terminates.
-// It runs in kernel context (from an event callback).
-func (k *Kernel) dispatch(p *Proc) {
-	p.resume <- struct{}{}
-	<-k.yield
+// step runs p until it parks or returns. It is the kernel-context event
+// that every start and every wake of p schedules.
+func (p *Proc) step() {
+	if p.fn == nil {
+		p.k.fail(fmt.Errorf("sim: wake reached process %q after it returned", p.name))
+		return
+	}
+	if p.co == nil {
+		p.co = p.k.coro()
+		p.co.p = p
+	}
+	p.co.next()
 }
 
-// Kernel returns the kernel the process belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
+// coro returns an idle coroutine, starting a new one if none is idle.
+func (k *Kernel) coro() *coro {
+	if n := len(k.idle); n > 0 {
+		c := k.idle[n-1]
+		k.idle = k.idle[:n-1]
+		return c
+	}
+	c := &coro{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for c.run() && yield(struct{}{}) {
+		}
+	})
+	k.coros = append(k.coros, c)
+	return c
+}
 
-// Name returns the diagnostic name given at spawn time.
-func (p *Proc) Name() string { return p.name }
+// run runs the coroutine's process to completion, then puts the coroutine
+// on the idle list. It reports false, and the coroutine ends, if the
+// process panicked or Close unwound it.
+func (c *coro) run() (ok bool) {
+	p := c.p
+	defer func() {
+		if r := recover(); r != nil && r != errKilled {
+			p.k.fail(fmt.Errorf("sim: process panic: %v\n%s", r, debug.Stack()))
+		}
+	}()
+	p.fn(p)
+	p.fn, p.co, c.p = nil, nil, nil
+	p.k.idle = append(p.k.idle, c)
+	return true
+}
 
-// Now returns the current simulated time.
-func (p *Proc) Now() Time { return p.k.now }
-
-// Block parks the process until some other party calls Kernel.Wake(p).
-// It is the building block for condition-style synchronization: the
-// caller must have registered p on some waiter list first.
-func (p *Proc) Block() {
-	p.k.yield <- struct{}{}
-	<-p.resume
-	if p.kill {
+// park suspends p until the event a wake scheduled for it is dispatched.
+// Only SleepUntil and Queue.Wait call it, each after scheduling or
+// registering exactly one wake.
+func (p *Proc) park() {
+	if !p.co.yield(struct{}{}) {
 		panic(errKilled)
 	}
 }
 
-// Wake schedules p to resume at the current simulated time. It may be
-// called from kernel context or from another process. Waking a process
-// that is not blocked in Block (or a timed wait) corrupts the handoff
-// protocol, so primitives must track waiter state carefully.
-func (k *Kernel) Wake(p *Proc) {
-	k.At(k.now, func() { k.dispatch(p) })
-}
+// wake schedules p to resume at the current simulated time.
+func (p *Proc) wake() { p.k.At(p.k.now, p.wakeup) }
 
-// WakeAt schedules p to resume at absolute time t.
-func (k *Kernel) WakeAt(t Time, p *Proc) {
-	k.At(t, func() { k.dispatch(p) })
-}
+// Now returns the current simulated time.
+func (p *Proc) Now() Time { return p.k.now }
 
 // Sleep suspends the process for d of simulated time.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	p.k.WakeAt(p.k.now.Add(d), p)
-	p.Block()
+	p.SleepUntil(p.k.now.Add(d))
 }
 
 // SleepUntil suspends the process until absolute time t. Times at or
@@ -94,6 +124,6 @@ func (p *Proc) SleepUntil(t Time) {
 	if t < p.k.now {
 		t = p.k.now
 	}
-	p.k.WakeAt(t, p)
-	p.Block()
+	p.k.At(t, p.wakeup)
+	p.park()
 }

@@ -1,45 +1,77 @@
 package sim
 
+// Queue is a FIFO of parked processes: a process Waits on it until
+// another party Signals it. It is the one way code outside this package
+// parks and wakes processes, so each wake reaches exactly the process
+// that waited for it. The zero value is an empty queue.
+type Queue struct {
+	procs []*Proc
+}
+
+// Wait parks p at the back of the queue until a Signal or Broadcast
+// reaches it.
+func (q *Queue) Wait(p *Proc) {
+	q.procs = append(q.procs, p)
+	p.park()
+}
+
+// Signal schedules the oldest waiter to resume at the current simulated
+// time and reports whether there was one. It may be called from kernel
+// context or from a process.
+func (q *Queue) Signal() bool {
+	if len(q.procs) == 0 {
+		return false
+	}
+	p := q.procs[0]
+	copy(q.procs, q.procs[1:])
+	q.procs[len(q.procs)-1] = nil
+	q.procs = q.procs[:len(q.procs)-1]
+	p.wake()
+	return true
+}
+
+// Broadcast schedules every waiter to resume, in arrival order.
+func (q *Queue) Broadcast() {
+	for _, p := range q.procs {
+		p.wake()
+	}
+	q.procs = nil
+}
+
+// Len reports the number of waiting processes.
+func (q *Queue) Len() int { return len(q.procs) }
+
 // Mailbox is an unbounded FIFO message queue. Senders never block;
 // receivers block until a message is available. Messages are delivered
 // to waiting receivers in the order the receivers arrived.
 type Mailbox[T any] struct {
-	k       *Kernel
 	items   []T
 	head    int
-	waiters []*mboxWaiter[T]
+	waiters Queue
+	handed  []T // messages put to signalled receivers, in signal order
 }
 
-type mboxWaiter[T any] struct {
-	p   *Proc
-	val T
-}
+// NewMailbox creates an empty mailbox. The kernel is not stored: a
+// mailbox wakes receivers through their own processes.
+func NewMailbox[T any](*Kernel) *Mailbox[T] { return new(Mailbox[T]) }
 
-// NewMailbox creates an empty mailbox.
-func NewMailbox[T any](k *Kernel) *Mailbox[T] {
-	return &Mailbox[T]{k: k}
-}
-
-// Put enqueues v, waking the oldest waiting receiver if any. It may be
-// called from kernel context or from a process and never blocks.
+// Put enqueues v, handing it to the oldest waiting receiver if any. It
+// may be called from kernel context or from a process and never blocks.
 func (m *Mailbox[T]) Put(v T) {
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		copy(m.waiters, m.waiters[1:])
-		m.waiters = m.waiters[:len(m.waiters)-1]
-		w.val = v
-		m.k.Wake(w.p)
+	if m.waiters.Signal() {
+		m.handed = append(m.handed, v)
 		return
 	}
 	m.items = append(m.items, v)
 }
 
 // Get dequeues the oldest message, blocking the calling process until one
-// is available.
+// is available. Signalled receivers resume in signal order, so each takes
+// the message put when it was signalled.
 func (m *Mailbox[T]) Get(p *Proc) T {
+	var zero T
 	if m.head < len(m.items) {
 		v := m.items[m.head]
-		var zero T
 		m.items[m.head] = zero
 		m.head++
 		if m.head == len(m.items) {
@@ -48,10 +80,12 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 		}
 		return v
 	}
-	w := &mboxWaiter[T]{p: p}
-	m.waiters = append(m.waiters, w)
-	p.Block()
-	return w.val
+	m.waiters.Wait(p)
+	v := m.handed[0]
+	n := copy(m.handed, m.handed[1:])
+	m.handed[n] = zero
+	m.handed = m.handed[:n]
+	return v
 }
 
 // Len reports the number of queued (undelivered) messages.
@@ -59,15 +93,12 @@ func (m *Mailbox[T]) Len() int { return len(m.items) - m.head }
 
 // Event is a one-shot completion: processes Wait until someone Fires it.
 // Waits after the fire return immediately. It models request/reply
-// rendezvous (e.g. a terminal waiting for a block to arrive).
+// rendezvous (e.g. a terminal waiting for a block to arrive). The zero
+// value is an unfired event.
 type Event struct {
-	k       *Kernel
 	fired   bool
-	waiters []*Proc
+	waiters Queue
 }
-
-// NewEvent creates an unfired event.
-func NewEvent(k *Kernel) *Event { return &Event{k: k} }
 
 // Fired reports whether Fire has been called.
 func (e *Event) Fired() bool { return e.fired }
@@ -79,17 +110,12 @@ func (e *Event) Fire() {
 		return
 	}
 	e.fired = true
-	for _, p := range e.waiters {
-		e.k.Wake(p)
-	}
-	e.waiters = nil
+	e.waiters.Broadcast()
 }
 
 // Wait blocks the calling process until the event fires.
 func (e *Event) Wait(p *Proc) {
-	if e.fired {
-		return
+	if !e.fired {
+		e.waiters.Wait(p)
 	}
-	e.waiters = append(e.waiters, p)
-	p.Block()
 }

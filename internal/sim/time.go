@@ -2,9 +2,10 @@
 // simulation kernel in the style of CSIM (Schwetman 1990), the simulation
 // language the SPIFFI paper used.
 //
-// Processes are goroutines, but exactly one process (or the kernel itself)
-// is ever runnable at a time: a process that performs a simulation wait
-// hands control back to the kernel and is resumed by a calendar event.
+// Processes are coroutines (iter.Pull), so exactly one process (or the
+// kernel itself) ever runs at a time: a process that performs a simulation
+// wait parks its coroutine, handing control back to the kernel, and is
+// resumed by a calendar event.
 // All wake-ups flow through a single event calendar ordered by
 // (time, sequence number), so runs are bit-for-bit reproducible given
 // deterministic process logic and seeded random streams.

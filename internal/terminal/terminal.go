@@ -285,8 +285,8 @@ type Terminal struct {
 	seekFrames  []int
 	seekStarted sim.Time // when the in-progress seek began (for latency)
 
-	playerWait  *sim.Proc // player parked awaiting priming
-	fetcherWait *sim.Proc // fetcher parked awaiting display progress
+	playerWait  sim.Queue // player parked awaiting priming
+	fetcherWait sim.Queue // fetcher parked awaiting display progress
 	movieChange *sim.Event
 
 	// mergedFrom, when >= 0, marks this terminal a merge follower: it
@@ -338,7 +338,7 @@ func New(
 		selectVideo: selectVideo,
 		measuring:   measuring,
 		onStarted:   onStarted,
-		movieChange: sim.NewEvent(k),
+		movieChange: new(sim.Event),
 		pending:     make(map[int]*pendingReq),
 		jit:         src.Derive("jitter"),
 		impactNode:  -1,
@@ -612,7 +612,7 @@ func (t *Terminal) startMovie(vid int) {
 	t.stats.MoviesStarted++
 	// Wake the fetcher for the new movie.
 	ev := t.movieChange
-	t.movieChange = sim.NewEvent(t.k)
+	t.movieChange = new(sim.Event)
 	ev.Fire()
 }
 
@@ -719,8 +719,7 @@ func (t *Terminal) primed() bool {
 // arrivals wake it.
 func (t *Terminal) waitPrimed(p *sim.Proc) {
 	for !t.primed() {
-		t.playerWait = p
-		p.Block()
+		t.playerWait.Wait(p)
 	}
 }
 
@@ -798,13 +797,7 @@ func (t *Terminal) noteStarted() {
 	}
 }
 
-func (t *Terminal) wakeFetcher() {
-	if t.fetcherWait != nil {
-		w := t.fetcherWait
-		t.fetcherWait = nil
-		t.k.Wake(w)
-	}
-}
+func (t *Terminal) wakeFetcher() { t.fetcherWait.Signal() }
 
 // drawPauses samples this playback's pause schedule.
 func (t *Terminal) drawPauses() {
@@ -880,14 +873,12 @@ func (t *Terminal) fetcher(p *sim.Proc) {
 					// Caught up to the leader's reads: only a new
 					// frontier advance, arrival, or detach changes
 					// anything; park until then.
-					t.fetcherWait = p
-					p.Block()
+					t.fetcherWait.Wait(p)
 				}
 				continue
 			}
 			if !t.playing {
-				t.fetcherWait = p
-				p.Block()
+				t.fetcherWait.Wait(p)
 				continue
 			}
 			t.sleepUntilSpace(p, size-free)
@@ -914,8 +905,7 @@ func (t *Terminal) fetcher(p *sim.Proc) {
 			if !t.playing {
 				// No consumption while primed/paused/stalled: park until
 				// display progresses.
-				t.fetcherWait = p
-				p.Block()
+				t.fetcherWait.Wait(p)
 				continue
 			}
 			t.sleepUntilSpace(p, size-free)
@@ -976,8 +966,7 @@ func (t *Terminal) sleepUntilSpace(p *sim.Proc, need int64) {
 	if wake <= t.k.Now() {
 		// Consumption is capped by the frontier (display is about to
 		// stall); park instead of spinning.
-		t.fetcherWait = p
-		p.Block()
+		t.fetcherWait.Wait(p)
 		return
 	}
 	p.SleepUntil(wake)
@@ -1150,10 +1139,8 @@ func (t *Terminal) admit(block int, size int64) {
 // wakeOnArrival re-evaluates the parked player and fetcher after any
 // change to the buffer or outstanding accounting.
 func (t *Terminal) wakeOnArrival() {
-	if t.playerWait != nil && t.primed() {
-		w := t.playerWait
-		t.playerWait = nil
-		t.k.Wake(w)
+	if t.playerWait.Len() > 0 && t.primed() {
+		t.playerWait.Signal()
 	}
 	// A stale arrival frees space without extending the buffer (the
 	// outstanding count drops), so a parked fetcher must re-evaluate;

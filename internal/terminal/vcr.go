@@ -104,7 +104,7 @@ func (t *Terminal) doSeek(p *sim.Proc) {
 // shown immediately and discarded, like a scrub preview.
 func (t *Terminal) fetchSkimBlock(p *sim.Proc, block int) {
 	addr := t.place.Locate(t.vid, block)
-	done := sim.NewEvent(t.k)
+	done := new(sim.Event)
 	segTime := sim.Duration(t.cfg.VCR.SkimSegmentFrames) * t.video.FramePeriod()
 	req := &proto.BlockRequest{
 		Video:    t.vid,
