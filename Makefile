@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race determinism verify bench bench-test trace-guard trace-demo staticcheck govulncheck chaos chaos-soak doc-check fuzz-workload fuzz-seed
+.PHONY: all build vet fmt-check test race determinism verify bench bench-test trace-guard allocs-guard trace-demo staticcheck govulncheck chaos chaos-soak doc-check fuzz-workload fuzz-seed
 
 all: verify
 
@@ -43,6 +43,13 @@ determinism:
 trace-guard:
 	$(GO) test -short -run TracingNeutralityAndOverhead .
 	$(GO) test -short ./internal/trace/
+
+# Allocation budgets on the block-request path: a warm kernel's spawn,
+# sleep and queue wake, a warm node's hit and miss, and a whole run's
+# allocations per block request. The whole-run budget skips itself under
+# -race, whose instrumentation allocates, so it holds only here.
+allocs-guard:
+	$(GO) test -count=1 -run Allocations ./internal/sim/ ./internal/server/ ./internal/core/
 
 # Optional linters: run when installed, skip (without failing) when the
 # environment does not have them — this repo vendors nothing and `make
@@ -86,7 +93,7 @@ fuzz-seed:
 fuzz-workload:
 	$(GO) test -fuzz FuzzWorkloadSchedule -fuzztime 30s ./internal/workload/
 
-verify: build vet fmt-check staticcheck govulncheck test race trace-guard chaos-soak fuzz-seed doc-check bench-test
+verify: build vet fmt-check staticcheck govulncheck test race trace-guard allocs-guard chaos-soak fuzz-seed doc-check bench-test
 
 # Seeded chaos suite under the race detector: fault injection, overload
 # control, admission, retry and rebuild tests (FAULTS.md, OVERLOAD.md).

@@ -33,8 +33,9 @@ type Page struct {
 	pin   int
 
 	// Ready fires when the outstanding fetch completes; waiters of an
-	// in-flight page block on it.
-	Ready *sim.Event
+	// in-flight page block on it. It is part of the page, so inserting a
+	// page is one allocation.
+	Ready sim.Event
 
 	// prefetched reports the page currently sits on the prefetched-pages
 	// chain (it was brought in by a prefetch and has not yet been

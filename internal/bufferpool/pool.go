@@ -72,6 +72,12 @@ type Pool struct {
 	waiters  sim.Queue // processes waiting for a frame
 	stats    Stats
 
+	// spare holds evicted pages for insertNew to reuse, so a miss in a
+	// full pool allocates nothing. Only eviction adds to it: an evicted
+	// page is unpinned, so no caller still holds it, while a defunct
+	// page may still be held by its pinners.
+	spare []*Page
+
 	rec  *trace.Recorder // nil unless tracing is enabled
 	node int             // owning node id, stamped into trace events
 }
@@ -172,11 +178,13 @@ func (b *Pool) acquireResident(pg *Page, terminal int, prefetch bool) (*Page, Ou
 }
 
 func (b *Pool) insertNew(id PageID, terminal int, prefetch bool) *Page {
-	pg := &Page{
-		ID:    id,
-		state: stateFetching,
-		pin:   1,
-		Ready: new(sim.Event),
+	var pg *Page
+	if n := len(b.spare); n > 0 {
+		pg = b.spare[n-1]
+		b.spare = b.spare[:n-1]
+		*pg = Page{ID: id, state: stateFetching, pin: 1, refBy: pg.refBy[:0]}
+	} else {
+		pg = &Page{ID: id, state: stateFetching, pin: 1}
 	}
 	if prefetch {
 		b.rec.PoolPrefetch(b.node, terminal, id.Video, id.Block)
@@ -200,6 +208,7 @@ func (b *Pool) evict(pg *Page) {
 	delete(b.table, pg.ID)
 	b.free++
 	b.stats.Evictions++
+	b.spare = append(b.spare, pg)
 }
 
 // FetchComplete marks the page's data as arrived and wakes processes

@@ -32,6 +32,10 @@ type Simulation struct {
 	piggy *piggyCoordinator
 	rec   *trace.Recorder // nil unless cfg.Trace.Enabled
 
+	// deliver holds each node's DeliverRequest, bound once so sending a
+	// request allocates no method value.
+	deliver []func(*proto.BlockRequest)
+
 	// Prefix-cache tier (CACHING.md); both nil unless cfg.Cache is
 	// enabled.
 	caches []*cache.Cache // one per node
@@ -122,12 +126,14 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		nodeCfg.ZonedDisks = &zp
 	}
 	s.nodes = make([]*server.Node, cfg.Nodes)
+	s.deliver = make([]func(*proto.BlockRequest), cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
 		srcs := make([]*rng.Source, cfg.DisksPerNode)
 		for d := range srcs {
 			srcs[d] = root.DeriveIndexed("disk", n*cfg.DisksPerNode+d)
 		}
 		s.nodes[n] = server.New(s.k, n, nodeCfg, s.net, s.place, srcs, cfg.StripePlayTime())
+		s.deliver[n] = s.nodes[n].DeliverRequest
 		s.nodes[n].SetTrace(s.rec)
 		s.nodes[n].Pool().SetTrace(s.rec, n)
 		for _, d := range s.nodes[n].Disks() {
@@ -408,10 +414,9 @@ func (s *Simulation) closePhaseSegment(cur reading) {
 }
 
 // sendRequest routes a terminal's block request over the network to the
-// owning node.
+// owning node; the request itself rides the wire.
 func (s *Simulation) sendRequest(node int, req *proto.BlockRequest) {
-	n := s.nodes[node]
-	s.net.Send(proto.RequestHeaderBytes, func() { n.DeliverRequest(req) })
+	s.net.SendAction(proto.RequestHeaderBytes, req.Via(s.deliver[node]))
 }
 
 // cachedPrefix reports whether blocks [0, upto) of video are all

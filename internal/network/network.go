@@ -63,12 +63,17 @@ func (n *Network) WireDelay(size int64) sim.Duration {
 	return n.params.FixedDelay + sim.Duration(size)*n.params.PerByteDelay
 }
 
-// Send delivers `payload` after the wire delay by invoking deliver in
-// kernel context. Bandwidth is metered at send time. deliver typically
-// puts the message on the destination's mailbox. Send never blocks and
-// may be called from kernel context or any process; CPU send/receive
-// costs are charged by the endpoints, not here.
-func (n *Network) Send(size int64, deliver func()) {
+// Send delivers a message of `size` payload bytes after the wire delay by
+// invoking deliver in kernel context.
+func (n *Network) Send(size int64, deliver func()) { n.SendAction(size, sim.Func(deliver)) }
+
+// SendAction delivers a message of `size` payload bytes after the wire
+// delay by firing a in kernel context. A message that is its own Action
+// (a block request) rides the wire without a delivery closure. Bandwidth
+// is metered at send time. SendAction never blocks and may be called from
+// kernel context or any process; CPU send/receive costs are charged by
+// the endpoints, not here.
+func (n *Network) SendAction(size int64, a sim.Action) {
 	n.meter.Record(n.k.Now().Seconds(), float64(size))
 	delay := n.WireDelay(size)
 	if n.hook != nil {
@@ -81,7 +86,7 @@ func (n *Network) Send(size int64, deliver func()) {
 		delay += extra
 	}
 	n.rec.NetSend(size, delay, false)
-	n.k.After(delay, deliver)
+	n.k.Schedule(n.k.Now().Add(delay), a)
 }
 
 // SetTrace attaches a trace recorder (nil is fine: emits become no-ops).

@@ -71,4 +71,21 @@ type BlockRequest struct {
 	// Issued records when the terminal sent the request (response-time
 	// statistics).
 	Issued sim.Time
+
+	// hop is what the request does when it next fires: set by Via.
+	hop func(*BlockRequest)
 }
+
+// Via makes the request its own next hop: the returned Action fires hop
+// with the request. Each hop (the wire to the node, the wire back, the
+// terminal's receive delay) schedules the request itself, with a hop
+// bound once per node or terminal, so a request's trip allocates nothing
+// beyond the request. A request is on the calendar at most once at a
+// time, which is what lets it carry its hop.
+func (r *BlockRequest) Via(hop func(*BlockRequest)) sim.Action {
+	r.hop = hop
+	return r
+}
+
+// Fire calls the hop set by the last Via.
+func (r *BlockRequest) Fire() { r.hop(r) }

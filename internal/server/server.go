@@ -98,6 +98,13 @@ type Node struct {
 	// the overload controller's rejoin warm-up).
 	restartHook func(downtime sim.Duration)
 
+	// idle holds the node's handler processes parked between requests,
+	// oldest first; handed holds the requests given to woken handlers,
+	// in the order they were woken, so each takes the one it was woken
+	// for. A request spawns a handler only when none is idle.
+	idle   sim.Queue
+	handed []*proto.BlockRequest
+
 	rec *trace.Recorder // nil unless tracing is enabled
 
 	// cache, when set, is the node's prefix cache (internal/cache):
@@ -114,11 +121,31 @@ type Node struct {
 	stats Stats
 }
 
-// diskDone is the completion context attached to disk requests.
-type diskDone struct {
-	node *Node
+// diskCtx is a process's disk-read context: the request it submits and
+// the event the completion fires. A handler or prefetch worker reuses one
+// for all its reads, since every Submit completes exactly once and the
+// process waits for that before reading again.
+type diskCtx struct {
+	req  dsched.Request
 	id   bufferpool.PageID
-	done *sim.Event
+	done sim.Event
+}
+
+// arm readies the context for a read of page id with request r and
+// returns the request to submit.
+func (c *diskCtx) arm(id bufferpool.PageID, r dsched.Request) *dsched.Request {
+	c.id = id
+	c.done.Reset()
+	r.Data = c
+	c.req = r
+	return &c.req
+}
+
+// handler is one of a node's pooled request-handler processes.
+type handler struct {
+	n    *Node
+	req  *proto.BlockRequest // the request being handled
+	disk diskCtx
 }
 
 // New builds a node with its CPU, buffer pool, disks and prefetch
@@ -164,7 +191,7 @@ func New(
 			for w := 0; w < cfg.Prefetch.WorkersPerDisk; w++ {
 				di := i
 				k.Spawn("prefetch", func(p *sim.Proc) {
-					n.prefetchWorker(p, di)
+					n.prefetchWorker(p, di, new(diskCtx))
 				})
 			}
 		}
@@ -199,8 +226,11 @@ func (n *Node) SetRestartHook(fn func(downtime sim.Duration)) { n.restartHook = 
 func (n *Node) SetCache(c *cache.Cache) { n.cache = c }
 
 // DeliverRequest accepts a block request off the network (kernel
-// context) and spawns a handler process for it. A crashed node drops the
-// request on the floor — the terminal's timeout is the only signal.
+// context) and hands it to the node's oldest idle handler process,
+// spawning a handler only when none is idle. Either way the handler
+// starts on the request with one calendar event scheduled now. A crashed
+// node drops the request on the floor — the terminal's timeout is the
+// only signal.
 func (n *Node) DeliverRequest(req *proto.BlockRequest) {
 	if n.down {
 		n.stats.Dropped++
@@ -208,13 +238,30 @@ func (n *Node) DeliverRequest(req *proto.BlockRequest) {
 		n.rec.NodeDrop(req.Terminal, n.id, false, n.stats.Dropped)
 		return
 	}
-	n.k.Spawn("handler", func(p *sim.Proc) {
-		n.handle(p, req)
-	})
+	if n.idle.Signal() {
+		n.handed = append(n.handed, req)
+		return
+	}
+	h := &handler{n: n, req: req}
+	n.k.Spawn("handler", h.run)
+}
+
+// run handles requests one after another, parking between them.
+func (h *handler) run(p *sim.Proc) {
+	n := h.n
+	for {
+		n.handle(p, h)
+		n.idle.Wait(p)
+		h.req = n.handed[0]
+		k := copy(n.handed, n.handed[1:])
+		n.handed[k] = nil
+		n.handed = n.handed[:k]
+	}
 }
 
 // handle services one demand request.
-func (n *Node) handle(p *sim.Proc, req *proto.BlockRequest) {
+func (n *Node) handle(p *sim.Proc, h *handler) {
+	req := h.req
 	n.cpu.Receive(p)
 	n.stats.Requests++
 	id := bufferpool.PageID{Video: req.Video, Block: req.Block}
@@ -251,7 +298,7 @@ func (n *Node) handle(p *sim.Proc, req *proto.BlockRequest) {
 	ok := true
 	switch out {
 	case bufferpool.MustFetch:
-		ok = n.readBlock(p, pg, addr, req.Deadline, req.Terminal, false)
+		ok = n.readBlock(p, &h.disk, pg, addr, req.Deadline, req.Terminal, false)
 	case bufferpool.InFlight:
 		// A prefetch (or another terminal's fetch) is already on its
 		// way; tighten its queued deadline to the real one (§5.2.3).
@@ -305,26 +352,25 @@ func (n *Node) reply(req *proto.BlockRequest, bytes int64) {
 		n.rec.NodeDrop(req.Terminal, n.id, true, n.stats.Dropped)
 		return
 	}
-	n.net.Send(bytes, func() { req.Deliver(req) })
+	n.net.SendAction(bytes, req.Via(req.Deliver))
 }
 
-// readBlock performs a disk read for an acquired MustFetch page and marks
-// it valid, or — when the disk fail-stops before delivering — aborts the
-// fetch and reports false. Caller keeps the pin either way.
-func (n *Node) readBlock(p *sim.Proc, pg *bufferpool.Page, addr layout.Address, deadline sim.Time, term int, isPrefetch bool) bool {
+// readBlock performs a disk read for an acquired MustFetch page through
+// the calling process's disk context and marks the page valid, or — when
+// the disk fail-stops before delivering — aborts the fetch and reports
+// false. Caller keeps the pin either way.
+func (n *Node) readBlock(p *sim.Proc, ctx *diskCtx, pg *bufferpool.Page, addr layout.Address, deadline sim.Time, term int, isPrefetch bool) bool {
 	n.cpu.StartIO(p)
-	done := new(sim.Event)
-	dr := &dsched.Request{
+	dr := ctx.arm(pg.ID, dsched.Request{
 		Offset:   addr.Offset,
 		Size:     addr.Size,
 		Deadline: deadline,
 		Terminal: term,
 		Prefetch: isPrefetch,
-		Data:     &diskDone{node: n, id: pg.ID, done: done},
-	}
+	})
 	n.inflight[pg.ID] = dr
 	n.disks[addr.Disk].Submit(dr)
-	done.Wait(p)
+	ctx.done.Wait(p)
 	if dr.Failed {
 		n.pool.FetchFailed(pg)
 		return false
@@ -384,26 +430,25 @@ func (n *Node) SetStaleCheck(fn func(video, block, copy int) bool) { n.stale = f
 // calling proc for the disk service time; a failed or crashed disk
 // fails the transfer immediately.
 func (n *Node) RebuildIO(p *sim.Proc, diskLocal int, offset, size int64) bool {
-	done := new(sim.Event)
-	dr := &dsched.Request{
+	ctx := new(diskCtx)
+	// The sentinel page id never collides with inflight demand fetches,
+	// so onDiskComplete just fires the event.
+	dr := ctx.arm(bufferpool.PageID{Video: -1, Block: -1}, dsched.Request{
 		Offset:   offset,
 		Size:     size,
 		Deadline: sim.TimeInfinity,
 		Terminal: -1,
 		Prefetch: true,
 		Rebuild:  true,
-		// The sentinel page id never collides with inflight demand
-		// fetches, so onDiskComplete just fires the event.
-		Data: &diskDone{node: n, id: bufferpool.PageID{Video: -1, Block: -1}, done: done},
-	}
+	})
 	n.disks[diskLocal].Submit(dr)
-	done.Wait(p)
+	ctx.done.Wait(p)
 	return !dr.Failed
 }
 
 // onDiskComplete runs in simulation context when a disk read finishes.
 func (n *Node) onDiskComplete(r *dsched.Request) {
-	ctx := r.Data.(*diskDone)
+	ctx := r.Data.(*diskCtx)
 	if n.inflight[ctx.id] == r {
 		delete(n.inflight, ctx.id)
 	}
@@ -444,7 +489,7 @@ func (n *Node) triggerPrefetch(req *proto.BlockRequest, addr layout.Address) {
 // prefetchWorker drains one disk's prefetch queue (§5.2.3). The number
 // of workers per disk sets prefetch aggressiveness; workers blocked on
 // buffer frames throttle naturally when memory is scarce.
-func (n *Node) prefetchWorker(p *sim.Proc, diskIdx int) {
+func (n *Node) prefetchWorker(p *sim.Proc, diskIdx int, ctx *diskCtx) {
 	q := n.queues[diskIdx]
 	for {
 		job := q.Get(p)
@@ -470,7 +515,7 @@ func (n *Node) prefetchWorker(p *sim.Proc, diskIdx int) {
 		}
 		addr := n.place.Locate(job.Video, job.Block)
 		n.stats.Prefetches++
-		n.readBlock(p, pg, addr, deadline, -1, true)
+		n.readBlock(p, ctx, pg, addr, deadline, -1, true)
 		n.pool.Unpin(pg)
 	}
 }

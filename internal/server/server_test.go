@@ -275,3 +275,95 @@ func TestSequentialStreamMostlyPoolHits(t *testing.T) {
 		t.Fatalf("hit fraction = %.2f, want >= 0.8 with working prefetch", ps.HitFraction())
 	}
 }
+
+// poolRig is a node with prefetching off and an 8-page pool, so every
+// request is exactly one demand reference: a hit on a resident block, or
+// a miss that evicts and reads when the blocks cycle through 64.
+func poolRig(t *testing.T) *rig {
+	cfg := baseCfg()
+	cfg.PoolPages = 8
+	cfg.Replacement = bufferpool.PolicyGlobalLRU
+	cfg.Prefetch.Mode = prefetch.ModeOff
+	return newRig(t, cfg)
+}
+
+// A warm node serves a request with no allocation on a hit and at most
+// three on a miss: the request reaches an idle handler, the reply rides
+// the wire as the request itself, and a miss reuses an evicted page and
+// the handler's disk context.
+func TestDeliverRequestAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hit  bool
+		max  float64
+	}{{"hit", true, 0}, {"miss", false, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := poolRig(t)
+			defer r.k.Close()
+			replies := 0
+			req := &proto.BlockRequest{
+				Size:    r.place.SizeOfBlock(0, 0),
+				Deliver: func(*proto.BlockRequest) { replies++ },
+			}
+			i := 0
+			serve := func() {
+				if !tc.hit {
+					i++
+					req.Block = i % 64
+				}
+				req.Deadline = r.k.Now().Add(sim.Second)
+				r.node.DeliverRequest(req)
+				if err := r.k.RunAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for j := 0; j < 64; j++ {
+				serve() // warm: handler, pool, calendar and queues
+			}
+			if n := testing.AllocsPerRun(200, serve); n > tc.max {
+				t.Errorf("%v allocs per request, want <= %v", n, tc.max)
+			}
+			if replies != 64+201 {
+				t.Fatalf("%d replies, want %d", replies, 64+201)
+			}
+			ps := r.node.Pool().Stats()
+			if tc.hit && ps.Misses != 1 || !tc.hit && ps.DemandHits != 0 {
+				t.Fatalf("pool stats %+v, want every request a %s", ps, tc.name)
+			}
+		})
+	}
+}
+
+// A burst of simultaneous requests grows the node's handler pool to the
+// burst's size; a later burst no larger than it is served entirely by
+// the idle handlers, spawning no process.
+func TestHandlerPoolReusedAcrossBursts(t *testing.T) {
+	r := poolRig(t)
+	defer r.k.Close()
+	burst := func(at sim.Time, first, n int) []*bool {
+		var done []*bool
+		r.k.At(at, func() {
+			for b := first; b < first+n; b++ {
+				done = append(done, r.request(0, b, b, at.Add(sim.Second)))
+			}
+		})
+		if err := r.k.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		return done
+	}
+	const first = 6
+	done := burst(0, 0, first)
+	if got := r.node.idle.Len(); got != first {
+		t.Fatalf("%d idle handlers after a burst of %d misses, want %d", got, first, first)
+	}
+	done = append(done, burst(sim.Time(sim.Second), 20, 4)...)
+	if got := r.node.idle.Len(); got != first {
+		t.Fatalf("%d idle handlers after a second, smaller burst, want the first burst's %d", got, first)
+	}
+	for i, d := range done {
+		if !*d {
+			t.Fatalf("request %d unanswered", i)
+		}
+	}
+}

@@ -5,12 +5,25 @@ import (
 	"fmt"
 )
 
-// event is a calendar entry. fn runs in kernel context and must not block;
-// waking a process is done by scheduling its resumption, never inline.
+// Action is the work a calendar entry does: Fire runs in kernel context
+// at the entry's time and must not block. Waking a process is done by
+// scheduling the process itself (a *Proc is an Action), never inline.
+// An Action that is on the calendar at most once at a time can be a
+// long-lived value, so scheduling it allocates nothing.
+type Action interface{ Fire() }
+
+// Func adapts a plain function to an Action. A func value is a single
+// pointer, so the conversion allocates nothing beyond the closure itself.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// event is a calendar entry.
 type event struct {
 	t   Time
 	seq uint64
-	fn  func()
+	a   Action
 }
 
 // Kernel is the simulation executive: an event calendar plus the
@@ -51,15 +64,20 @@ func (k *Kernel) Events() uint64 { return k.events }
 // Pending returns the number of events currently on the calendar.
 func (k *Kernel) Pending() int { return len(k.heap) }
 
-// At schedules fn to run in kernel context at absolute time t. Scheduling
-// in the past is a programming error and panics. fn must not block.
-func (k *Kernel) At(t Time, fn func()) {
+// Schedule puts a on the calendar to fire at absolute time t, after every
+// entry already scheduled for t. Scheduling in the past is a programming
+// error and panics.
+func (k *Kernel) Schedule(t Time, a Action) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
 	k.seq++
-	k.push(event{t: t, seq: k.seq, fn: fn})
+	k.push(event{t: t, seq: k.seq, a: a})
 }
+
+// At schedules fn to run in kernel context at absolute time t. fn must not
+// block.
+func (k *Kernel) At(t Time, fn func()) { k.Schedule(t, Func(fn)) }
 
 // After schedules fn to run in kernel context d from now.
 func (k *Kernel) After(d Duration, fn func()) { k.At(k.now.Add(d), fn) }
@@ -83,7 +101,7 @@ func (k *Kernel) Run(until Time) error {
 		ev := k.pop()
 		k.now = ev.t
 		k.events++
-		ev.fn()
+		ev.a.Fire()
 		if err := k.err; err != nil {
 			k.err = nil
 			return err

@@ -493,40 +493,151 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// Property: for any batch of event times, dispatch order is the sorted
-// order (stable by insertion for ties).
+// stamp is one dispatch, or one expected dispatch: the time, the
+// calendar sequence number it was scheduled with, and who recorded it.
+type stamp struct {
+	t   Time
+	seq uint64
+	id  int
+}
+
+// recorder is an Action that notes its own dispatch.
+type recorder struct {
+	k   *Kernel
+	id  int
+	got *[]stamp
+}
+
+func (r *recorder) Fire() { *r.got = append(*r.got, stamp{t: r.k.now, id: r.id}) }
+
+// Property, in the event-queue ordering idiom: At callbacks, scheduled
+// Actions, process starts, sleeps and Queue wakes, interleaved at random
+// and often tied in time, all dispatch in strict (time, seq) order, each
+// at its scheduled time.
 func TestHeapDispatchOrderProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		k := NewKernel()
 		defer k.Close()
-		type tagged struct {
-			t   Time
-			idx int
-		}
-		var want []tagged
-		var got []tagged
+		var want, got []stamp
+		// expect notes that the next calendar entry, scheduled for t,
+		// will be recorded by id.
+		expect := func(t Time, id int) { want = append(want, stamp{t, k.seq + 1, id}) }
+		note := func(id int) { got = append(got, stamp{t: k.now, id: id}) }
+		var q Queue
+		var waiting []int // ids the queue's waiters record on waking, oldest first
 		for i, v := range raw {
-			tm := Time(v)
-			i := i
-			want = append(want, tagged{tm, i})
-			k.At(tm, func() { got = append(got, tagged{k.Now(), i}) })
+			id := 3 * i // ids id..id+2 belong to this entry
+			tm, d := Time(v%32), Duration(v>>5%4)
+			switch v >> 7 % 4 {
+			case 0:
+				expect(tm, id)
+				k.At(tm, func() { note(id) })
+			case 1:
+				expect(tm, id)
+				k.Schedule(tm, &recorder{k: k, id: id, got: &got})
+			case 2:
+				expect(tm, id)
+				k.SpawnAt(tm, "sleeper", func(p *Proc) {
+					note(id)
+					expect(p.Now().Add(d), id+1)
+					p.Sleep(d)
+					note(id + 1)
+				})
+			case 3:
+				expect(tm, id)
+				k.SpawnAt(tm, "waiter", func(p *Proc) {
+					note(id)
+					waiting = append(waiting, id+1)
+					q.Wait(p)
+					note(id + 1)
+				})
+				expect(tm.Add(d), id+2)
+				k.At(tm.Add(d), func() {
+					note(id + 2)
+					if len(waiting) > 0 {
+						expect(k.now, waiting[0])
+						waiting = waiting[1:]
+					}
+					q.Signal()
+				})
+			}
 		}
 		if err := k.RunAll(); err != nil {
 			return false
 		}
-		sort.SliceStable(want, func(a, b int) bool { return want[a].t < want[b].t })
+		sort.Slice(want, func(a, b int) bool {
+			if want[a].t != want[b].t {
+				return want[a].t < want[b].t
+			}
+			return want[a].seq < want[b].seq
+		})
 		if len(got) != len(want) {
 			return false
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if got[i].t != want[i].t || got[i].id != want[i].id {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The process paths allocate only the Proc a Spawn creates: a start, a
+// sleep and a Queue wake schedule the Proc itself, and warm coroutines,
+// calendar and queue reuse their storage.
+func TestProcessAllocations(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	noop := func(*Proc) {}
+	if n := testing.AllocsPerRun(100, func() {
+		k.Spawn("noop", noop)
+		if err := k.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Spawn: %v allocs, want 1 (the Proc)", n)
+	}
+
+	k.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	if n := testing.AllocsPerRun(100, func() {
+		if err := k.Run(k.Now().Add(1)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Sleep: %v allocs, want 0", n)
+	}
+
+	w := NewKernel()
+	defer w.Close()
+	var q Queue
+	woken := 0
+	w.Spawn("waiter", func(p *Proc) {
+		for {
+			q.Wait(p)
+			woken++
+		}
+	})
+	if err := w.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		q.Signal()
+		if err := w.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Queue wake: %v allocs, want 0", n)
+	}
+	if woken != 101 {
+		t.Fatalf("woken %d times, want 101", woken)
 	}
 }
 

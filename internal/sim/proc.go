@@ -14,13 +14,13 @@ var errKilled = errors.New("sim: process killed by kernel shutdown")
 // Proc is a simulation process: user logic running on a coroutine that
 // parks whenever it waits for simulated time to pass or for a Queue to be
 // signalled, handing control back to the kernel. At most one process runs
-// at a time.
+// at a time. A Proc is the Action that every start and wake of it
+// schedules, so neither allocates.
 type Proc struct {
-	k      *Kernel
-	name   string
-	fn     func(*Proc) // nil once the process has returned
-	co     *coro       // the coroutine running fn; nil until it starts
-	wakeup func()      // p.step, stored once so wakes allocate no closure
+	k    *Kernel
+	name string
+	fn   func(*Proc) // nil once the process has returned or been unwound
+	co   *coro       // the coroutine running fn; nil until it starts
 }
 
 // coro is a coroutine that runs processes one after another: when one
@@ -43,14 +43,13 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt is Spawn with a delayed start time.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, fn: fn}
-	p.wakeup = p.step
-	k.At(t, p.wakeup)
+	k.Schedule(t, p)
 	return p
 }
 
-// step runs p until it parks or returns. It is the kernel-context event
-// that every start and every wake of p schedules.
-func (p *Proc) step() {
+// Fire runs p until it parks or returns. It is the calendar entry that
+// every start and every wake of p schedules; only the kernel calls it.
+func (p *Proc) Fire() {
 	if p.fn == nil {
 		p.k.fail(fmt.Errorf("sim: wake reached process %q after it returned", p.name))
 		return
@@ -81,11 +80,16 @@ func (k *Kernel) coro() *coro {
 
 // run runs the coroutine's process to completion, then puts the coroutine
 // on the idle list. It reports false, and the coroutine ends, if the
-// process panicked or Close unwound it.
+// process panicked or Close unwound it. An unwound process drops its
+// function and coroutine, so whatever still holds the Proc (the Queue it
+// parked on) does not keep the state its function captured alive.
 func (c *coro) run() (ok bool) {
 	p := c.p
 	defer func() {
-		if r := recover(); r != nil && r != errKilled {
+		switch r := recover(); {
+		case r == errKilled:
+			p.fn, p.co, c.p = nil, nil, nil
+		case r != nil:
 			p.k.fail(fmt.Errorf("sim: process panic: %v\n%s", r, debug.Stack()))
 		}
 	}()
@@ -105,7 +109,7 @@ func (p *Proc) park() {
 }
 
 // wake schedules p to resume at the current simulated time.
-func (p *Proc) wake() { p.k.At(p.k.now, p.wakeup) }
+func (p *Proc) wake() { p.k.Schedule(p.k.now, p) }
 
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.k.now }
@@ -124,6 +128,6 @@ func (p *Proc) SleepUntil(t Time) {
 	if t < p.k.now {
 		t = p.k.now
 	}
-	p.k.At(t, p.wakeup)
+	p.k.Schedule(t, p)
 	p.park()
 }

@@ -30,12 +30,15 @@ func (q *Queue) Signal() bool {
 	return true
 }
 
-// Broadcast schedules every waiter to resume, in arrival order.
+// Broadcast schedules every waiter to resume, in arrival order. The queue
+// keeps its backing array, so a reused queue's later Waits allocate
+// nothing.
 func (q *Queue) Broadcast() {
 	for _, p := range q.procs {
 		p.wake()
 	}
-	q.procs = nil
+	clear(q.procs)
+	q.procs = q.procs[:0]
 }
 
 // Len reports the number of waiting processes.
@@ -112,6 +115,10 @@ func (e *Event) Fire() {
 	e.fired = true
 	e.waiters.Broadcast()
 }
+
+// Reset makes a fired event unfired again, so its owner can reuse it for
+// its next completion. The event must have no waiters: Fire released them.
+func (e *Event) Reset() { e.fired = false }
 
 // Wait blocks the calling process until the event fires.
 func (e *Event) Wait(p *Proc) {

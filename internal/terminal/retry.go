@@ -151,7 +151,7 @@ func (t *Terminal) resend(pr *pendingReq) {
 		Terminal: t.id,
 		Copy:     copy,
 		Attempt:  attempt,
-		Deliver:  t.onReply,
+		Deliver:  t.replied,
 		Issued:   t.k.Now(),
 	}
 	pr.req = req

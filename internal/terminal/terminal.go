@@ -249,6 +249,10 @@ type Terminal struct {
 	measuring func() bool
 	// onStarted fires once, when the terminal first begins display.
 	onStarted func()
+	// replied and arrive are onReply and applyArrival, bound once: every
+	// request carries replied, and a delayed receive re-schedules the
+	// request itself with arrive as its hop.
+	replied, arrive func(*proto.BlockRequest)
 
 	// --- current playback ---
 	video   *mpeg.Video
@@ -344,6 +348,7 @@ func New(
 		impactNode:  -1,
 		mergedFrom:  -1,
 	}
+	t.replied, t.arrive = t.onReply, t.applyArrival
 	return t
 }
 
@@ -996,7 +1001,7 @@ func (t *Terminal) issue(p *sim.Proc, size int64) {
 		Deadline: t.deadlineFor(b),
 		Terminal: t.id,
 		Copy:     copy,
-		Deliver:  t.onReply,
+		Deliver:  t.replied,
 		Issued:   t.k.Now(),
 	}
 	if t.cfg.SendLatency > 0 {
@@ -1027,7 +1032,7 @@ func (t *Terminal) deadlineFor(b int) sim.Time {
 // receive latency is modeled as a delivery delay.
 func (t *Terminal) onReply(req *proto.BlockRequest) {
 	if t.cfg.RecvLatency > 0 {
-		t.k.After(t.cfg.RecvLatency, func() { t.applyArrival(req) })
+		t.k.Schedule(t.k.Now().Add(t.cfg.RecvLatency), req.Via(t.arrive))
 		return
 	}
 	t.applyArrival(req)
