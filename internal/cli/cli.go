@@ -49,7 +49,6 @@ type Flags struct {
 
 	// Fault injection & degraded-mode operation.
 	FaultDiskSlow  *float64
-	FaultSlowFac   *float64
 	FaultDiskFail  *float64
 	FaultRepairS   *float64
 	FaultNodeCrash *float64
@@ -59,12 +58,9 @@ type Flags struct {
 	Mirror         *bool
 	MirrorNode     *bool
 	Failover       *bool
-	RejoinWarmupS  *float64
 	ReqTimeoutS    *float64
 	Retries        *int
 	BackoffMS      *float64
-	BackoffCapMS   *float64
-	RetryJitterMS  *float64
 
 	// Overload control & recovery (internal/overload, OVERLOAD.md).
 	AdmitLimit    *int
@@ -123,7 +119,6 @@ func Register(fs *flag.FlagSet) *Flags {
 		VCRSkim:    fs.Bool("vcrskim", false, "seeks use the visual-search skim scheme"),
 
 		FaultDiskSlow:  fs.Float64("faultdiskslow", 0, "transient disk slowdowns per disk-hour (0 = off)"),
-		FaultSlowFac:   fs.Float64("faultslowfactor", 4, "service-time multiplier during a disk slowdown"),
 		FaultDiskFail:  fs.Float64("faultdiskfail", 0, "disk fail-stops per disk-hour (0 = off)"),
 		FaultRepairS:   fs.Float64("faultrepair", 30, "disk repair time in seconds (0 = permanent)"),
 		FaultNodeCrash: fs.Float64("faultnodecrash", 0, "node crashes per node-hour (0 = off)"),
@@ -133,12 +128,9 @@ func Register(fs *flag.FlagSet) *Flags {
 		Mirror:         fs.Bool("mirror", false, "store a declustered replica of every video"),
 		MirrorNode:     fs.Bool("mirrornode", false, "place replicas cross-node (interleaved declustering; requires -mirror)"),
 		Failover:       fs.Bool("failover", false, "redirect around suspect nodes and re-admit with priority (requires -mirror)"),
-		RejoinWarmupS:  fs.Float64("rejoinwarmup", 0, "adaptive-limit hold after a node rejoins, seconds (0 = default 30 with -failover)"),
 		ReqTimeoutS:    fs.Float64("reqtimeout", 0, "terminal request timeout in seconds (0 = default when faults on)"),
 		Retries:        fs.Int("retries", 0, "max retries per block (0 = default when faults on)"),
-		BackoffMS:      fs.Float64("backoff", 0, "first retry backoff in ms, doubling per retry (0 = default)"),
-		BackoffCapMS:   fs.Float64("backoffcap", 0, "retry backoff cap in ms (0 = 64x the base backoff)"),
-		RetryJitterMS:  fs.Float64("retryjitter", 0, "uniform jitter bound added to each retry backoff in ms (0 = off)"),
+		BackoffMS:      fs.Float64("backoff", 0, "first retry backoff in ms, doubling per retry up to 64x (0 = default)"),
 
 		AdmitLimit:    fs.Int("admit", 0, "admission limit on concurrent streams (0 = off)"),
 		Adaptive:      fs.Bool("adaptive", false, "adapt the admission limit from measured disk slack"),
@@ -286,7 +278,6 @@ func (f *Flags) Config() (core.Config, error) {
 
 	cfg.Faults = faults.Config{
 		DiskSlowRate:    *f.FaultDiskSlow,
-		DiskSlowFactor:  *f.FaultSlowFac,
 		DiskFailRate:    *f.FaultDiskFail,
 		DiskRepairTime:  sim.DurationOfSeconds(*f.FaultRepairS),
 		NodeCrashRate:   *f.FaultNodeCrash,
@@ -297,13 +288,10 @@ func (f *Flags) Config() (core.Config, error) {
 	cfg.ReplicateVideos = *f.Mirror
 	cfg.MirrorCrossNode = *f.MirrorNode
 	cfg.Failover = *f.Failover
-	cfg.RejoinWarmup = sim.DurationOfSeconds(*f.RejoinWarmupS)
 	cfg.Trace = f.TraceOptions()
 	cfg.RequestTimeout = sim.DurationOfSeconds(*f.ReqTimeoutS)
 	cfg.MaxRetries = *f.Retries
 	cfg.RetryBackoff = sim.DurationOfSeconds(*f.BackoffMS / 1000)
-	cfg.RetryBackoffCap = sim.DurationOfSeconds(*f.BackoffCapMS / 1000)
-	cfg.RetryJitter = sim.DurationOfSeconds(*f.RetryJitterMS / 1000)
 
 	cfg.Overload.AdmitLimit = *f.AdmitLimit
 	cfg.Overload.Adaptive = *f.Adaptive

@@ -221,7 +221,6 @@ func TestFaultConfigValidation(t *testing.T) {
 		func(c *core.Config) { c.Faults.DiskFailRate = -1 },
 		func(c *core.Config) { c.Faults.NetLossProb = 1.5 },
 		func(c *core.Config) { c.Faults.NetJitterMax = -sim.Second },
-		func(c *core.Config) { c.Faults.DiskSlowRate = 1; c.Faults.DiskSlowFactor = 0.5 },
 		func(c *core.Config) { c.RequestTimeout = sim.Second; c.MaxRetries = 2; c.RetryBackoff = 0 },
 		func(c *core.Config) { c.MaxRetries = -1 },
 		func(c *core.Config) { c.Nodes = 1; c.DisksPerNode = 1; c.ReplicateVideos = true },

@@ -7,6 +7,9 @@ package cpu
 
 import "spiffi/internal/sim"
 
+// PaperMIPS is the Table 1 processor rating.
+const PaperMIPS = 40
+
 // Costs holds instruction counts for the charged operations.
 type Costs struct {
 	StartIO int64 // instructions to initiate a disk I/O

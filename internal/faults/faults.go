@@ -30,10 +30,10 @@ import (
 // hour); zero disables that fault class. The zero value disables
 // everything and reproduces fault-free runs bit for bit.
 type Config struct {
-	// Transient disk degradation: service times stretch by DiskSlowFactor
-	// for an exponentially distributed duration with mean diskSlowMeanDur.
-	DiskSlowRate   float64 // slowdown onsets per disk-hour
-	DiskSlowFactor float64 // service-time multiplier (default 4)
+	// Transient disk degradation: service times stretch by
+	// diskSlowFactor for an exponentially distributed duration with mean
+	// diskSlowMeanDur.
+	DiskSlowRate float64 // slowdown onsets per disk-hour
 
 	// Fail-stop disk failures: queued and in-flight requests complete with
 	// an error, new submissions are rejected, and service resumes after
@@ -54,8 +54,12 @@ type Config struct {
 	NetJitterMax sim.Duration // max extra per-message latency
 }
 
-// diskSlowMeanDur is the mean length of a transient disk slowdown.
-const diskSlowMeanDur = 5 * sim.Second
+// A transient disk slowdown stretches service times diskSlowFactor-fold
+// for an exponentially distributed time with mean diskSlowMeanDur.
+const (
+	diskSlowFactor  = 4
+	diskSlowMeanDur = 5 * sim.Second
+)
 
 // Enabled reports whether any fault class is active.
 func (c Config) Enabled() bool {
@@ -63,20 +67,11 @@ func (c Config) Enabled() bool {
 		c.NetLossProb > 0 || c.NetJitterMax > 0
 }
 
-// Normalize fills defaults for enabled fault classes.
-func (c *Config) Normalize() {
-	if c.DiskSlowRate > 0 && c.DiskSlowFactor == 0 {
-		c.DiskSlowFactor = 4
-	}
-}
-
 // Validate rejects inconsistent configurations.
 func (c Config) Validate() error {
 	switch {
 	case c.DiskSlowRate < 0 || c.DiskFailRate < 0 || c.NodeCrashRate < 0:
 		return fmt.Errorf("faults: negative event rate")
-	case c.DiskSlowRate > 0 && c.DiskSlowFactor < 1:
-		return fmt.Errorf("faults: disk slow factor %g below 1", c.DiskSlowFactor)
 	case c.NetLossProb < 0 || c.NetLossProb >= 1:
 		return fmt.Errorf("faults: network loss probability %g outside [0,1)", c.NetLossProb)
 	case c.NetJitterMax < 0 || c.DiskRepairTime < 0 || c.NodeRestartTime < 0:
@@ -130,7 +125,7 @@ func NewPlan(cfg Config, nodes, disksPerNode int, horizon sim.Time, src *rng.Sou
 					At:       at,
 					Kind:     KindDiskSlow,
 					Index:    d,
-					Factor:   cfg.DiskSlowFactor,
+					Factor:   diskSlowFactor,
 					Duration: sim.DurationOfSeconds(s.Exp(diskSlowMeanDur.Seconds())),
 				})
 			}

@@ -12,7 +12,7 @@ import (
 const hour = sim.Time(3600 * sim.Second)
 
 func TestPlanDeterministic(t *testing.T) {
-	cfg := Config{DiskSlowRate: 2, DiskSlowFactor: 4,
+	cfg := Config{DiskSlowRate: 2,
 		DiskFailRate: 1, DiskRepairTime: 30 * sim.Second, NodeCrashRate: 0.5}
 	a := NewPlan(cfg, 4, 4, hour, rng.New(7))
 	b := NewPlan(cfg, 4, 4, hour, rng.New(7))
@@ -48,7 +48,6 @@ func TestStreamsIndependent(t *testing.T) {
 	both := failOnly
 	both.NodeCrashRate = 2
 	both.DiskSlowRate = 3
-	both.DiskSlowFactor = 4
 
 	extract := func(plan []Event, kind Kind) []Event {
 		var out []Event
@@ -76,7 +75,7 @@ func TestArrivalRate(t *testing.T) {
 	}
 }
 
-func TestEnabledAndNormalize(t *testing.T) {
+func TestEnabled(t *testing.T) {
 	var zero Config
 	if zero.Enabled() {
 		t.Fatal("zero config enabled")
@@ -88,10 +87,6 @@ func TestEnabledAndNormalize(t *testing.T) {
 		t.Fatal("zero config built a net model")
 	}
 	c := Config{DiskSlowRate: 1}
-	c.Normalize()
-	if c.DiskSlowFactor != 4 {
-		t.Fatalf("slowdown defaults not filled: %+v", c)
-	}
 	if !c.Enabled() {
 		t.Fatal("slowdown config not enabled")
 	}
@@ -105,7 +100,6 @@ func TestValidateRejects(t *testing.T) {
 		{DiskFailRate: -1},
 		{NetLossProb: 1},
 		{NetLossProb: -0.1},
-		{DiskSlowRate: 1, DiskSlowFactor: 0.5},
 		{NodeCrashRate: 1, NodeRestartTime: -sim.Second},
 	}
 	for i, c := range bad {

@@ -17,18 +17,19 @@ import (
 type Params struct {
 	FixedDelay   sim.Duration // per message (paper: 5 µs)
 	PerByteDelay sim.Duration // per payload byte (paper: 0.04 µs)
-	MeterWindow  float64      // seconds per bandwidth-meter window
 }
 
-// DefaultParams returns the Table 1 network parameters with a 1-second
-// bandwidth metering window.
+// DefaultParams returns the Table 1 network parameters.
 func DefaultParams() Params {
 	return Params{
 		FixedDelay:   5 * sim.Microsecond,
 		PerByteDelay: 40 * sim.Nanosecond,
-		MeterWindow:  1.0,
 	}
 }
+
+// meterWindow is the bandwidth meter's window in seconds: Figure 18's
+// peak aggregate bandwidth is the busiest one-second window.
+const meterWindow = 1.0
 
 // Hook intercepts messages for fault injection. Mangle is consulted once
 // per Send, after metering: drop=true discards the message (the receiver
@@ -54,7 +55,7 @@ func New(k *sim.Kernel, params Params) *Network {
 	return &Network{
 		k:      k,
 		params: params,
-		meter:  stats.NewPeakRateMeter(params.MeterWindow),
+		meter:  stats.NewPeakRateMeter(meterWindow),
 	}
 }
 

@@ -72,14 +72,8 @@ func (t *Terminal) retryOrGiveUp(pr *pendingReq, cause glitchCause) {
 		t.loseBlock(pr.block, pr.size, cause)
 		return
 	}
-	backoff := t.backoffFor(pr.tries)
-	if t.cfg.RetryJitter > 0 {
-		// Jitter is applied at the scheduling site, not in backoffFor,
-		// so the deterministic schedule stays testable in isolation.
-		backoff += sim.Duration(t.jit.Float64() * float64(t.cfg.RetryJitter))
-	}
 	gen := pr.gen
-	t.k.After(backoff+t.cfg.SendLatency, func() {
+	t.k.After(t.backoffFor(pr.tries)+t.cfg.SendLatency, func() {
 		if t.pending[pr.block] != pr || pr.gen != gen || t.vid != pr.vid {
 			// Late data arrived during the backoff, the block was
 			// abandoned, or the stream repositioned: nothing to resend.
@@ -90,16 +84,13 @@ func (t *Terminal) retryOrGiveUp(pr *pendingReq, cause glitchCause) {
 }
 
 // backoffFor returns the exponential backoff before attempt tries+1:
-// RetryBackoff doubling per retry, clamped to RetryBackoffCap (64x the
-// base when unset). The clamp keeps large retry budgets from shifting
-// the duration past int64 into a negative value, which would panic the
-// kernel ("scheduling event in the past").
+// RetryBackoff doubling per retry, clamped to 64x RetryBackoff. The clamp
+// keeps large retry budgets from shifting the duration past int64 into a
+// negative value, which would panic the kernel ("scheduling event in the
+// past").
 func (t *Terminal) backoffFor(tries int) sim.Duration {
 	backoff := t.cfg.RetryBackoff
-	limit := t.cfg.RetryBackoffCap
-	if limit <= 0 {
-		limit = 64 * t.cfg.RetryBackoff
-	}
+	limit := 64 * t.cfg.RetryBackoff
 	for i := 1; i < tries && backoff < limit; i++ {
 		backoff *= 2
 	}
