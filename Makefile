@@ -78,8 +78,9 @@ CHAOS_SOAK_FLAGS ?= -short
 chaos-soak:
 	$(GO) test -race $(CHAOS_SOAK_FLAGS) -run ChaosSoak -timeout 10m ./internal/core/
 
-# Documentation drift: broken intra-repo markdown links and CLI flags
-# missing from README.md (cmd/spiffi-doccheck).
+# Documentation drift: broken intra-repo markdown links, CLI flags
+# missing from README.md, and README flag-reference rows naming flags no
+# tool registers (cmd/spiffi-doccheck).
 doc-check:
 	$(GO) run ./cmd/spiffi-doccheck
 

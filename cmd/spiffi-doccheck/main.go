@@ -11,6 +11,11 @@
 //     in README.md as `-name`, so `-h` output and the README flag
 //     reference cannot drift apart.
 //
+//   - retired flags: every backticked `-name` in README.md's
+//     "### Flag reference" table must be registered by cli.Register or
+//     be one of the per-tool flags in toolFlags, so a flag removed from
+//     the CLI cannot linger in the table.
+//
 // Run it via `make doc-check` (part of `make verify`). Exit status 1
 // lists every finding; 0 means the docs match the tree and the CLI.
 package main
@@ -31,6 +36,16 @@ import (
 // linkRE matches inline markdown links [text](target). Reference-style
 // links and autolinks are rare in this repo and not checked.
 var linkRE = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+
+// flagRE matches a backticked flag name such as `-terminals`.
+var flagRE = regexp.MustCompile("`-([a-z][a-z0-9-]*)`")
+
+// toolFlags are the flags in README's flag reference that one tool
+// registers itself rather than through cli.Register.
+var toolFlags = map[string]bool{
+	"postmortem": true, // spiffi-sim
+	"v":          true, // spiffi-sim, spiffi-maxterm
+}
 
 func main() {
 	root := flag.String("root", ".", "repository root to check")
@@ -63,10 +78,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	registered := map[string]bool{}
 	for _, name := range flagNames() {
+		registered[name] = true
 		if !strings.Contains(string(readme), "-"+name) {
 			problems = append(problems,
 				fmt.Sprintf("README.md: flag -%s (in every binary's -h output) is undocumented", name))
+		}
+	}
+	for _, m := range flagRE.FindAllStringSubmatch(flagReference(string(readme)), -1) {
+		if name := m[1]; !registered[name] && !toolFlags[name] {
+			problems = append(problems,
+				fmt.Sprintf("README.md: flag reference lists -%s, which no tool registers", name))
 		}
 	}
 
@@ -99,6 +122,22 @@ func links(doc string) []string {
 		out = append(out, target)
 	}
 	return out
+}
+
+// flagReference returns the table rows of README's "### Flag reference"
+// section, which runs from its heading to the next heading.
+func flagReference(readme string) string {
+	_, sec, _ := strings.Cut(readme, "\n### Flag reference\n")
+	var rows strings.Builder
+	for _, line := range strings.Split(sec, "\n") {
+		if strings.HasPrefix(line, "#") {
+			break
+		}
+		if strings.HasPrefix(line, "|") {
+			rows.WriteString(line + "\n")
+		}
+	}
+	return rows.String()
 }
 
 // flagNames returns every flag name the shared CLI registers, in

@@ -273,6 +273,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *core.Config) { c.Terminals = 0 },
 		func(c *core.Config) { c.ZipfZ = -1 },
 		func(c *core.Config) { c.MeasureTime = 0 },
+		func(c *core.Config) { c.StartWindow = -5 * sim.Second },
+		func(c *core.Config) { c.Video.Length = 0 },
 		func(c *core.Config) { c.Sched = dsched.Config{Kind: "nope"} },
 		func(c *core.Config) {
 			c.Prefetch = prefetch.Config{Mode: prefetch.ModeDelayed, MaxAdvance: sim.Second}
