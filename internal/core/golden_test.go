@@ -61,7 +61,8 @@ var goldenCases = []goldenCase{
 		},
 		fires: func(m core.Metrics) bool {
 			return m.DiskFailStops > 0 && m.Nacks > 0 && m.Retries > 0 &&
-				m.Timeouts > 0 && m.LostBlocks > 0 && m.Recoveries > 0 && m.NetDropped > 0
+				m.Timeouts > 0 && m.LostBlocks > 0 && m.Recoveries > 0 && m.NetDropped > 0 &&
+				m.Pool.FetchFails > 0
 		},
 	},
 	{
