@@ -407,3 +407,64 @@ func TestEmptySchedulersReturnNil(t *testing.T) {
 		}
 	}
 }
+
+// kindConfigs holds one buildable Config per scheduler Kind.
+var kindConfigs = []Config{
+	{Kind: KindElevator},
+	{Kind: KindFCFS},
+	{Kind: KindRoundRobin},
+	{Kind: KindSSTF},
+	{Kind: KindCSCAN},
+	{Kind: KindGSS, Groups: 2},
+	{Kind: KindRealTime, Classes: 3, Spacing: sim.Second},
+}
+
+func TestDrainReturnsPendingInSeqOrder(t *testing.T) {
+	for _, c := range kindConfigs {
+		t.Run(string(c.Kind), func(t *testing.T) {
+			s := c.New()
+			pending := map[*Request]bool{}
+			add := func(cyl, term int, deadline sim.Time) {
+				r := req(cyl, term, deadline)
+				pending[r] = true
+				s.Add(r)
+			}
+			next := func(now sim.Time, head int) {
+				r := s.Next(now, head)
+				if r == nil || !pending[r] {
+					t.Fatalf("Next = %v, want a pending request", r)
+				}
+				delete(pending, r)
+			}
+			add(50, 0, sim.Time(5*sim.Second))
+			add(10, 1, sim.Time(1*sim.Second))
+			add(90, 2, sim.Time(9*sim.Second))
+			add(30, 3, sim.Time(2*sim.Second))
+			next(0, 40)
+			add(70, 0, sim.Time(3*sim.Second))
+			add(20, 1, sim.Time(7*sim.Second))
+			next(0, 60)
+			next(sim.Time(sim.Second), 20)
+			add(60, 4, sim.Time(4*sim.Second))
+
+			got := s.Drain()
+			if len(got) != len(pending) {
+				t.Fatalf("Drain returned %d requests, want %d", len(got), len(pending))
+			}
+			for i, r := range got {
+				if !pending[r] {
+					t.Fatalf("Drain returned seq %d, which is not pending", r.Seq)
+				}
+				if i > 0 && got[i-1].Seq >= r.Seq {
+					t.Fatalf("Drain out of Seq order at %d: %d then %d", i, got[i-1].Seq, r.Seq)
+				}
+			}
+			if s.Len() != 0 {
+				t.Fatalf("Len after Drain = %d, want 0", s.Len())
+			}
+			if again := s.Drain(); len(again) != 0 {
+				t.Fatalf("second Drain returned %d requests", len(again))
+			}
+		})
+	}
+}
