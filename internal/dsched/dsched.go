@@ -42,8 +42,6 @@ type Request struct {
 
 // Scheduler is a queue discipline for one disk.
 type Scheduler interface {
-	// Name identifies the algorithm in reports.
-	Name() string
 	// Add inserts a pending request.
 	Add(r *Request)
 	// Next removes and returns the request to service now, given the
@@ -56,6 +54,28 @@ type Scheduler interface {
 	// completes the abandoned requests with Failed set so issuers learn
 	// their fate instead of waiting forever.
 	Drain() []*Request
+}
+
+// queue is the plain pending-request list that every discipline except
+// GSS embeds for its Add, Len and Drain; a discipline adds only Next.
+type queue struct {
+	reqs []*Request
+}
+
+// Add implements Scheduler.
+func (q *queue) Add(r *Request) { q.reqs = append(q.reqs, r) }
+
+// Len implements Scheduler.
+func (q *queue) Len() int { return len(q.reqs) }
+
+// Drain implements Scheduler.
+func (q *queue) Drain() []*Request { return drainSorted(&q.reqs) }
+
+// take removes and returns the pending request at index i.
+func (q *queue) take(i int) *Request {
+	r := q.reqs[i]
+	q.reqs = removeAt(q.reqs, i)
+	return r
 }
 
 // drainSorted empties the given backing slices into one arrival-ordered

@@ -400,10 +400,10 @@ func TestConfigString(t *testing.T) {
 func TestEmptySchedulersReturnNil(t *testing.T) {
 	for _, s := range []Scheduler{NewElevator(), NewFCFS(), NewRoundRobin(), NewGSS(2), NewRealTime(3, sim.Second)} {
 		if s.Next(0, 0) != nil {
-			t.Fatalf("%s: empty Next != nil", s.Name())
+			t.Fatalf("%T: empty Next != nil", s)
 		}
 		if s.Len() != 0 {
-			t.Fatalf("%s: empty Len != 0", s.Name())
+			t.Fatalf("%T: empty Len != 0", s)
 		}
 	}
 }

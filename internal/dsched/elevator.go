@@ -7,24 +7,12 @@ import "spiffi/internal/sim"
 // request in the travel direction. It nearly minimizes seeks while
 // remaining fair.
 type Elevator struct {
-	reqs []*Request
-	dir  int
+	queue
+	dir int
 }
 
 // NewElevator returns an empty elevator queue sweeping upward first.
 func NewElevator() *Elevator { return &Elevator{dir: 1} }
-
-// Name implements Scheduler.
-func (e *Elevator) Name() string { return "elevator" }
-
-// Add implements Scheduler.
-func (e *Elevator) Add(r *Request) { e.reqs = append(e.reqs, r) }
-
-// Len implements Scheduler.
-func (e *Elevator) Len() int { return len(e.reqs) }
-
-// Drain implements Scheduler.
-func (e *Elevator) Drain() []*Request { return drainSorted(&e.reqs) }
 
 // Next implements Scheduler.
 func (e *Elevator) Next(_ sim.Time, headCyl int) *Request {
@@ -33,41 +21,25 @@ func (e *Elevator) Next(_ sim.Time, headCyl int) *Request {
 	}
 	i, dir := pickElevator(e.reqs, headCyl, e.dir)
 	e.dir = dir
-	r := e.reqs[i]
-	e.reqs = removeAt(e.reqs, i)
-	return r
+	return e.take(i)
 }
 
 // FCFS services requests strictly in arrival order. It is the baseline
 // discipline of the Haritsa/Karthikeyan comparison referenced in §3 and
 // is useful for calibration tests.
 type FCFS struct {
-	reqs []*Request
+	queue
 }
 
 // NewFCFS returns an empty FCFS queue.
 func NewFCFS() *FCFS { return &FCFS{} }
-
-// Name implements Scheduler.
-func (f *FCFS) Name() string { return "fcfs" }
-
-// Add implements Scheduler.
-func (f *FCFS) Add(r *Request) { f.reqs = append(f.reqs, r) }
-
-// Len implements Scheduler.
-func (f *FCFS) Len() int { return len(f.reqs) }
-
-// Drain implements Scheduler.
-func (f *FCFS) Drain() []*Request { return drainSorted(&f.reqs) }
 
 // Next implements Scheduler.
 func (f *FCFS) Next(_ sim.Time, _ int) *Request {
 	if len(f.reqs) == 0 {
 		return nil
 	}
-	r := f.reqs[0]
-	f.reqs = removeAt(f.reqs, 0)
-	return r
+	return f.take(0)
 }
 
 // RoundRobin services terminals in strict cyclic order, taking the oldest
@@ -75,24 +47,12 @@ func (f *FCFS) Next(_ sim.Time, _ int) *Request {
 // GSS limit where every terminal forms its own group, and shows it always
 // loses to seek-optimizing algorithms (Figure 10).
 type RoundRobin struct {
-	reqs   []*Request
+	queue
 	cursor int // terminal id after which the scan resumes
 }
 
 // NewRoundRobin returns an empty round-robin queue.
 func NewRoundRobin() *RoundRobin { return &RoundRobin{cursor: -1} }
-
-// Name implements Scheduler.
-func (rr *RoundRobin) Name() string { return "round-robin" }
-
-// Add implements Scheduler.
-func (rr *RoundRobin) Add(r *Request) { rr.reqs = append(rr.reqs, r) }
-
-// Len implements Scheduler.
-func (rr *RoundRobin) Len() int { return len(rr.reqs) }
-
-// Drain implements Scheduler.
-func (rr *RoundRobin) Drain() []*Request { return drainSorted(&rr.reqs) }
 
 // Next implements Scheduler.
 func (rr *RoundRobin) Next(_ sim.Time, _ int) *Request {
@@ -124,8 +84,7 @@ func (rr *RoundRobin) Next(_ sim.Time, _ int) *Request {
 			bestIdx = i
 		}
 	}
-	r := rr.reqs[bestIdx]
+	r := rr.take(bestIdx)
 	rr.cursor = r.Terminal
-	rr.reqs = removeAt(rr.reqs, bestIdx)
 	return r
 }

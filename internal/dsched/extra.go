@@ -8,23 +8,11 @@ import "spiffi/internal/sim"
 // under load. It is not in the paper's comparison; it is included as an
 // additional classic baseline for ablation studies.
 type SSTF struct {
-	reqs []*Request
+	queue
 }
 
 // NewSSTF returns an empty SSTF queue.
 func NewSSTF() *SSTF { return &SSTF{} }
-
-// Name implements Scheduler.
-func (s *SSTF) Name() string { return "sstf" }
-
-// Add implements Scheduler.
-func (s *SSTF) Add(r *Request) { s.reqs = append(s.reqs, r) }
-
-// Len implements Scheduler.
-func (s *SSTF) Len() int { return len(s.reqs) }
-
-// Drain implements Scheduler.
-func (s *SSTF) Drain() []*Request { return drainSorted(&s.reqs) }
 
 // Next implements Scheduler.
 func (s *SSTF) Next(_ sim.Time, headCyl int) *Request {
@@ -39,9 +27,7 @@ func (s *SSTF) Next(_ sim.Time, headCyl int) *Request {
 			best = i
 		}
 	}
-	r := s.reqs[best]
-	s.reqs = removeAt(s.reqs, best)
-	return r
+	return s.take(best)
 }
 
 // CSCAN is the circular elevator: the head sweeps in one direction only,
@@ -49,23 +35,11 @@ func (s *SSTF) Next(_ sim.Time, headCyl int) *Request {
 // Compared with the plain elevator it trades a little seek efficiency
 // for lower service-time variance. Also an ablation baseline.
 type CSCAN struct {
-	reqs []*Request
+	queue
 }
 
 // NewCSCAN returns an empty C-SCAN queue.
 func NewCSCAN() *CSCAN { return &CSCAN{} }
-
-// Name implements Scheduler.
-func (c *CSCAN) Name() string { return "cscan" }
-
-// Add implements Scheduler.
-func (c *CSCAN) Add(r *Request) { c.reqs = append(c.reqs, r) }
-
-// Len implements Scheduler.
-func (c *CSCAN) Len() int { return len(c.reqs) }
-
-// Drain implements Scheduler.
-func (c *CSCAN) Drain() []*Request { return drainSorted(&c.reqs) }
 
 // Next implements Scheduler.
 func (c *CSCAN) Next(_ sim.Time, headCyl int) *Request {
@@ -99,7 +73,5 @@ func (c *CSCAN) Next(_ sim.Time, headCyl int) *Request {
 			}
 		}
 	}
-	r := c.reqs[best]
-	c.reqs = removeAt(c.reqs, best)
-	return r
+	return c.take(best)
 }

@@ -85,12 +85,14 @@ func TestCSCANTwoAscendingRunsProperty(t *testing.T) {
 
 func TestExtraKindsConfig(t *testing.T) {
 	for _, k := range []Kind{KindSSTF, KindCSCAN} {
-		c := Config{Kind: k}
-		if err := c.Validate(); err != nil {
+		if err := (Config{Kind: k}).Validate(); err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		if c.New().Name() != string(k) {
-			t.Fatalf("%v: factory name mismatch", k)
-		}
+	}
+	if _, ok := (Config{Kind: KindSSTF}).New().(*SSTF); !ok {
+		t.Fatal("sstf: factory built the wrong scheduler type")
+	}
+	if _, ok := (Config{Kind: KindCSCAN}).New().(*CSCAN); !ok {
+		t.Fatal("cscan: factory built the wrong scheduler type")
 	}
 }

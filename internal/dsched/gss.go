@@ -27,17 +27,6 @@ func NewGSS(groups int) *GSS {
 	return &GSS{groups: groups, dir: 1}
 }
 
-// Name implements Scheduler.
-func (g *GSS) Name() string {
-	if g.groups == 1 {
-		return "gss(1)"
-	}
-	return "gss"
-}
-
-// Groups returns the configured group count.
-func (g *GSS) Groups() int { return g.groups }
-
 // groupOf maps a terminal to its group.
 func (g *GSS) groupOf(terminal int) int {
 	if terminal < 0 {

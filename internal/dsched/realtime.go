@@ -16,9 +16,9 @@ import "spiffi/internal/sim"
 // §5.2.3) or, if none was estimated, an infinitely late deadline that
 // pins them to the lowest class.
 type RealTime struct {
+	queue
 	classes int
 	spacing sim.Duration
-	reqs    []*Request
 	dir     int
 	scratch []*Request
 }
@@ -35,24 +35,6 @@ func NewRealTime(classes int, spacing sim.Duration) *RealTime {
 	}
 	return &RealTime{classes: classes, spacing: spacing, dir: 1}
 }
-
-// Name implements Scheduler.
-func (rt *RealTime) Name() string { return "real-time" }
-
-// Classes returns the number of priority classes.
-func (rt *RealTime) Classes() int { return rt.classes }
-
-// Spacing returns the priority cutoff spacing.
-func (rt *RealTime) Spacing() sim.Duration { return rt.spacing }
-
-// Add implements Scheduler.
-func (rt *RealTime) Add(r *Request) { rt.reqs = append(rt.reqs, r) }
-
-// Len implements Scheduler.
-func (rt *RealTime) Len() int { return len(rt.reqs) }
-
-// Drain implements Scheduler.
-func (rt *RealTime) Drain() []*Request { return drainSorted(&rt.reqs) }
 
 // ClassOf returns the priority class (0 = most urgent) a request with the
 // given deadline occupies at time now.
@@ -92,11 +74,9 @@ func (rt *RealTime) Next(now sim.Time, headCyl int) *Request {
 	i, dir := pickElevator(rt.scratch, headCyl, rt.dir)
 	rt.dir = dir
 	chosen := rt.scratch[i]
-	for j, r := range rt.reqs {
-		if r == chosen {
-			rt.reqs = removeAt(rt.reqs, j)
-			break
-		}
+	j := 0
+	for rt.reqs[j] != chosen {
+		j++
 	}
-	return chosen
+	return rt.take(j)
 }
