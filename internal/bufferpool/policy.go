@@ -4,8 +4,6 @@ package bufferpool
 // nominates eviction victims. The pool calls it with interleaving-safe
 // single-threaded simulation semantics.
 type Policy interface {
-	// Name identifies the algorithm in reports.
-	Name() string
 	// OnInsert places a newly allocated page, which entered the pool via
 	// a prefetch (prefetched=true) or a demand miss.
 	OnInsert(pg *Page, prefetched bool)
@@ -27,9 +25,6 @@ type GlobalLRU struct {
 
 // NewGlobalLRU returns an empty global LRU policy.
 func NewGlobalLRU() *GlobalLRU { return &GlobalLRU{} }
-
-// Name implements Policy.
-func (g *GlobalLRU) Name() string { return "global-lru" }
 
 // OnInsert implements Policy.
 func (g *GlobalLRU) OnInsert(pg *Page, prefetched bool) {
@@ -64,9 +59,6 @@ type LovePrefetch struct {
 
 // NewLovePrefetch returns an empty love-prefetch policy.
 func NewLovePrefetch() *LovePrefetch { return &LovePrefetch{} }
-
-// Name implements Policy.
-func (l *LovePrefetch) Name() string { return "love-prefetch" }
 
 // OnInsert implements Policy.
 func (l *LovePrefetch) OnInsert(pg *Page, prefetched bool) {

@@ -109,9 +109,6 @@ func (b *Pool) Capacity() int { return b.capacity }
 // Resident returns the number of pages in the table.
 func (b *Pool) Resident() int { return len(b.table) }
 
-// Policy returns the replacement policy.
-func (b *Pool) Policy() Policy { return b.policy }
-
 // Contains reports whether the block is resident (valid or in flight).
 // Delayed prefetching uses it to skip redundant prefetches cheaply.
 func (b *Pool) Contains(id PageID) bool {

@@ -394,10 +394,10 @@ func TestFrameConservationProperty(t *testing.T) {
 }
 
 func TestPolicyKindFactory(t *testing.T) {
-	if PolicyGlobalLRU.New().Name() != "global-lru" {
+	if _, ok := PolicyGlobalLRU.New().(*GlobalLRU); !ok {
 		t.Fatal("global lru factory")
 	}
-	if PolicyLovePrefetch.New().Name() != "love-prefetch" {
+	if _, ok := PolicyLovePrefetch.New().(*LovePrefetch); !ok {
 		t.Fatal("love prefetch factory")
 	}
 }

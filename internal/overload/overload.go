@@ -83,9 +83,6 @@ type Config struct {
 	RebuildRate int64
 }
 
-// Enabled reports whether any overload mechanism is active.
-func (c Config) Enabled() bool { return c.AdmitLimit > 0 || c.RebuildRate > 0 }
-
 // Estimator tuning, fixed for every run.
 const (
 	interval         = sim.Second // decision period
@@ -147,7 +144,6 @@ func (c Config) ProtectedCount(terminals int) int {
 type Limiter interface {
 	SetLimit(n int)
 	Limit() int
-	Active() int
 }
 
 // Stream is a shedable video stream (implemented by

@@ -7,11 +7,10 @@ import (
 	"spiffi/internal/sim"
 )
 
-type fakeLimiter struct{ limit, active int }
+type fakeLimiter struct{ limit int }
 
 func (f *fakeLimiter) SetLimit(n int) { f.limit = n }
 func (f *fakeLimiter) Limit() int     { return f.limit }
-func (f *fakeLimiter) Active() int    { return f.active }
 
 type fakeStream struct{ degraded bool }
 
@@ -97,7 +96,7 @@ func TestControllerPressureAndRelax(t *testing.T) {
 	defer k.Close()
 	cfg := Config{AdmitLimit: 16, Adaptive: true, Shed: true}.Normalize()
 	c := NewController(k, cfg, 2, sim.Second)
-	lim := &fakeLimiter{limit: 16, active: 16}
+	lim := &fakeLimiter{limit: 16}
 	c.SetLimiter(lim)
 	streams := make([]Stream, 8)
 	fakes := make([]*fakeStream, 8)
@@ -313,7 +312,6 @@ type recordingLimiter struct {
 
 func (r *recordingLimiter) SetLimit(n int) { r.limit = n; r.trajectory = append(r.trajectory, n) }
 func (r *recordingLimiter) Limit() int     { return r.limit }
-func (r *recordingLimiter) Active() int    { return r.limit }
 
 // directionChanges counts sign flips in a limit trajectory.
 func directionChanges(start int, traj []int) int {

@@ -35,8 +35,6 @@ type Queue interface {
 	// Get blocks the worker until a job is eligible for issue, then
 	// dequeues and returns it.
 	Get(p *sim.Proc) Job
-	// Len reports queued jobs.
-	Len() int
 }
 
 // FIFO is the basic prefetching queue: jobs issue in arrival order as
@@ -55,9 +53,6 @@ func (f *FIFO) Put(j Job) { f.mbox.Put(j) }
 
 // Get implements Queue.
 func (f *FIFO) Get(p *sim.Proc) Job { return f.mbox.Get(p) }
-
-// Len implements Queue.
-func (f *FIFO) Len() int { return f.mbox.Len() }
 
 // Deadline is the real-time prefetching queue: a priority queue on
 // estimated deadline. With MaxAdvance > 0 it is the delayed prefetching
@@ -95,7 +90,7 @@ func (d *Deadline) Put(j Job) {
 	d.kick()
 }
 
-// Len implements Queue.
+// Len reports queued jobs.
 func (d *Deadline) Len() int { return len(d.heap) }
 
 // releaseTime is when job j may be issued.
