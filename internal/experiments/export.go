@@ -3,10 +3,8 @@ package experiments
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
-	"time"
 )
 
 // Export helpers: experiment results render to CSV (one row per X value,
@@ -54,8 +52,8 @@ func (r Result) WriteCSV(w io.Writer) error {
 }
 
 // resultJSON is the stable exported JSON shape. Workers and WallMS are
-// execution provenance; omitted when unset so archives produced before
-// the parallel runner still round-trip byte-identically.
+// execution provenance; omitted when unset so results written before the
+// parallel runner keep their exact bytes.
 type resultJSON struct {
 	ID     string       `json:"id"`
 	Title  string       `json:"title"`
@@ -94,30 +92,4 @@ func (r Result) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// ReadJSON parses a result previously written by WriteJSON (round-trip
-// support for archiving measured results alongside EXPERIMENTS.md).
-func ReadJSON(rd io.Reader) (Result, error) {
-	var in resultJSON
-	if err := json.NewDecoder(rd).Decode(&in); err != nil {
-		return Result{}, fmt.Errorf("experiments: decoding result: %w", err)
-	}
-	out := Result{
-		ID:        in.ID,
-		Title:     in.Title,
-		XLabel:    in.XLabel,
-		YLabel:    in.YLabel,
-		Notes:     in.Notes,
-		Workers:   in.Workers,
-		WallClock: time.Duration(in.WallMS) * time.Millisecond,
-	}
-	for _, sj := range in.Series {
-		s := Series{Name: sj.Name}
-		for _, p := range sj.Points {
-			s.Points = append(s.Points, Point{X: p[0], Y: p[1]})
-		}
-		out.Series = append(out.Series, s)
-	}
-	return out, nil
 }

@@ -99,18 +99,3 @@ func trimFloat(v float64) string {
 	}
 	return fmt.Sprintf("%.3g", v)
 }
-
-// seriesY extracts a series' Y value at x, for tests.
-func (r Result) seriesY(name string, x float64) (float64, bool) {
-	for _, s := range r.Series {
-		if s.Name != name {
-			continue
-		}
-		for _, p := range s.Points {
-			if p.X == x {
-				return p.Y, true
-			}
-		}
-	}
-	return 0, false
-}

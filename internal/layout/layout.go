@@ -139,12 +139,6 @@ func newPlacement(videoSizes []int64, blockSize int64, nodes, disksPerNode int) 
 	return p
 }
 
-// Striped reports whether this is the striped placement.
-func (p *Placement) Striped() bool { return p.striped }
-
-// Nodes returns the node count.
-func (p *Placement) Nodes() int { return p.nodes }
-
 // DisksPerNode returns the per-node disk count.
 func (p *Placement) DisksPerNode() int { return p.disksPerNode }
 
@@ -169,14 +163,6 @@ func (p *Placement) SizeOfBlock(v, b int) int64 {
 		}
 	}
 	return p.blockSize
-}
-
-// BlockOfByte returns the block containing stream offset off of video v.
-func (p *Placement) BlockOfByte(v int, off int64) int {
-	if off < 0 || off >= p.videoSizes[v] {
-		panic("layout: byte offset out of range")
-	}
-	return int(off / p.blockSize)
 }
 
 // Locate maps (video, block) to a disk address. Figure 3 ordering:
@@ -296,16 +282,6 @@ func (p *Placement) mirrorDiskAt(d, stripeIdx int) int {
 	return (d + 1) % p.totalDisks
 }
 
-// mirrorSource inverts mirrorDisk: the disk whose replicas live on d.
-func (p *Placement) mirrorSource(d int) int {
-	if p.policy == MirrorCrossNode {
-		n, i := d/p.disksPerNode, d%p.disksPerNode
-		shift := 1 + i%(p.nodes-1)
-		return ((n-shift+p.nodes)%p.nodes)*p.disksPerNode + i
-	}
-	return (d - 1 + p.totalDisks) % p.totalDisks
-}
-
 // Replicas returns the number of stored copies of every block (1 or 2).
 func (p *Placement) Replicas() int { return p.replicas }
 
@@ -369,26 +345,4 @@ func (p *Placement) NextBlockOnSameDisk(v, b int) (next int, ok bool) {
 		return 0, false
 	}
 	return next, true
-}
-
-// MaxDiskBytes returns the highest end-of-data offset across disks, used
-// to size the simulated disks' cylinder range. Mirroring doubles it.
-func (p *Placement) MaxDiskBytes() int64 {
-	if p.striped {
-		return int64(p.replicas) * int64(len(p.videoSizes)) * p.regionBytes
-	}
-	top := make([]int64, p.totalDisks)
-	for v, sz := range p.videoSizes {
-		top[p.videoDisk[v]] += sz
-	}
-	var max int64
-	for d, t := range top {
-		if p.replicas == 2 {
-			t += top[p.mirrorSource(d)]
-		}
-		if t > max {
-			max = t
-		}
-	}
-	return max
 }

@@ -96,14 +96,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.under, h.count, h.sum, h.max = 0, 0, 0, 0
-}
-
 // String renders non-empty buckets with counts, for reports.
 func (h *Histogram) String() string {
 	var b strings.Builder

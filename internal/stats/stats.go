@@ -1,6 +1,5 @@
 // Package stats provides the measurement machinery for the SPIFFI
-// simulation: sample tallies, time-weighted averages, windowed peak-rate
-// meters (for the paper's Figure 18 aggregate network bandwidth), and the
+// simulation: sample tallies, windowed peak-rate meters (for the paper's Figure 18 aggregate network bandwidth), and the
 // Student-t confidence intervals behind the paper's §7.1 stopping rule
 // ("90% confident that the results were within 5%").
 package stats
@@ -11,17 +10,10 @@ import "math"
 type Tally struct {
 	n          int64
 	sum, sumSq float64
-	min, max   float64
 }
 
 // Add records one sample.
 func (t *Tally) Add(v float64) {
-	if t.n == 0 || v < t.min {
-		t.min = v
-	}
-	if t.n == 0 || v > t.max {
-		t.max = v
-	}
 	t.n++
 	t.sum += v
 	t.sumSq += v * v
@@ -30,9 +22,6 @@ func (t *Tally) Add(v float64) {
 // N returns the sample count.
 func (t *Tally) N() int64 { return t.n }
 
-// Sum returns the sample total.
-func (t *Tally) Sum() float64 { return t.sum }
-
 // Mean returns the sample mean, or 0 with no samples.
 func (t *Tally) Mean() float64 {
 	if t.n == 0 {
@@ -40,12 +29,6 @@ func (t *Tally) Mean() float64 {
 	}
 	return t.sum / float64(t.n)
 }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (t *Tally) Min() float64 { return t.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (t *Tally) Max() float64 { return t.max }
 
 // Variance returns the unbiased sample variance, or 0 with <2 samples.
 func (t *Tally) Variance() float64 {
@@ -62,53 +45,6 @@ func (t *Tally) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (t *Tally) StdDev() float64 { return math.Sqrt(t.Variance()) }
-
-// Reset discards all samples.
-func (t *Tally) Reset() { *t = Tally{} }
-
-// TimeWeighted tracks a piecewise-constant value over simulated time and
-// reports its time integral average (e.g. mean queue length).
-type TimeWeighted struct {
-	value    float64
-	lastT    float64
-	start    float64
-	integral float64
-	max      float64
-	started  bool
-}
-
-// Set records that the value changed to v at time t (seconds).
-func (w *TimeWeighted) Set(t, v float64) {
-	if !w.started {
-		w.start, w.lastT, w.started = t, t, true
-	} else {
-		w.integral += w.value * (t - w.lastT)
-		w.lastT = t
-	}
-	w.value = v
-	if v > w.max {
-		w.max = v
-	}
-}
-
-// Mean returns the time average over [start, t].
-func (w *TimeWeighted) Mean(t float64) float64 {
-	if !w.started || t <= w.start {
-		return 0
-	}
-	return (w.integral + w.value*(t-w.lastT)) / (t - w.start)
-}
-
-// Max returns the largest value observed.
-func (w *TimeWeighted) Max() float64 { return w.max }
-
-// Reset restarts the integral at time t keeping the current value.
-func (w *TimeWeighted) Reset(t float64) {
-	w.integral = 0
-	w.start, w.lastT = t, t
-	w.max = w.value
-	w.started = true
-}
 
 // PeakRateMeter measures the peak transfer rate over fixed-width windows:
 // bytes recorded in each window are summed and the largest window total is

@@ -17,9 +17,6 @@ func TestTallyBasics(t *testing.T) {
 	if ty.Mean() != 5 {
 		t.Fatalf("mean = %v, want 5", ty.Mean())
 	}
-	if ty.Min() != 2 || ty.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", ty.Min(), ty.Max())
-	}
 	// Population variance is 4; unbiased sample variance is 32/7.
 	if got, want := ty.Variance(), 32.0/7.0; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("variance = %v, want %v", got, want)
@@ -30,11 +27,6 @@ func TestTallyEmptyAndReset(t *testing.T) {
 	var ty Tally
 	if ty.Mean() != 0 || ty.Variance() != 0 {
 		t.Fatal("empty tally should report zeros")
-	}
-	ty.Add(5)
-	ty.Reset()
-	if ty.N() != 0 || ty.Sum() != 0 {
-		t.Fatal("reset did not clear")
 	}
 }
 
@@ -53,32 +45,6 @@ func TestTallyVarianceNonNegativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTimeWeightedMean(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 10) // 10 over [0,4)
-	w.Set(4, 20) // 20 over [4,10)
-	got := w.Mean(10)
-	want := (10*4 + 20*6) / 10.0
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("mean = %v, want %v", got, want)
-	}
-	if w.Max() != 20 {
-		t.Fatalf("max = %v", w.Max())
-	}
-}
-
-func TestTimeWeightedReset(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 100)
-	w.Reset(50)
-	w.Set(60, 0)
-	// Over [50,100]: value 100 for 10s, 0 for 40s.
-	got := w.Mean(100)
-	if math.Abs(got-20) > 1e-9 {
-		t.Fatalf("mean after reset = %v, want 20", got)
 	}
 }
 
@@ -204,11 +170,6 @@ func TestHistogramEmptyAndReset(t *testing.T) {
 	h := NewHistogram(1.0, 4)
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram must report zeros")
-	}
-	h.Add(3)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("reset failed")
 	}
 }
 
