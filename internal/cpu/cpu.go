@@ -66,6 +66,3 @@ func (c *CPU) Receive(p *sim.Proc) { c.Execute(p, c.costs.Receive) }
 // BusyTime reports the CPU's lifetime busy time, including the
 // instruction burst in progress.
 func (c *CPU) BusyTime() sim.Duration { return c.fac.BusyTime() }
-
-// Costs returns the configured instruction costs.
-func (c *CPU) Costs() Costs { return c.costs }

@@ -178,14 +178,8 @@ func (d *Disk) transferTime(offset, size int64) sim.Duration {
 	return d.params.TransferTime(size)
 }
 
-// ID returns the disk's global index.
-func (d *Disk) ID() int { return d.id }
-
 // SetTrace attaches a trace recorder (nil is fine: emits become no-ops).
 func (d *Disk) SetTrace(rec *trace.Recorder) { d.rec = rec }
-
-// Params returns the drive parameters.
-func (d *Disk) Params() Params { return d.params }
 
 // SetObserver wires a dispatch observer: it is called at every demand
 // (non-prefetch, finite-deadline) dispatch with the request's
@@ -196,10 +190,6 @@ func (d *Disk) SetObserver(fn func(slack sim.Duration, qlen int)) { d.observer =
 // SetRepairHook wires a callback invoked after every completed repair
 // with the outage duration just ended.
 func (d *Disk) SetRepairHook(fn func(downtime sim.Duration)) { d.repairHook = fn }
-
-// Scheduler exposes the queue discipline (used by tests and by the server
-// to tighten deadlines of queued prefetches).
-func (d *Disk) Scheduler() dsched.Scheduler { return d.sched }
 
 // Submit enqueues a request. The request's Cylinder is derived from its
 // Offset here so issuers never have to know disk geometry. Submitting to a

@@ -32,9 +32,6 @@ func NewLibrary(params Params, count int, seed uint64) *Library {
 // Count returns the number of videos in the library.
 func (l *Library) Count() int { return l.count }
 
-// Params returns the shared encoding parameters.
-func (l *Library) Params() Params { return l.params }
-
 // Get returns video id, generating it on first use.
 func (l *Library) Get(id int) *Video {
 	if id < 0 || id >= l.count {

@@ -102,8 +102,6 @@ func (p Params) FramePeriod() sim.Duration {
 // Video is one generated video: an immutable frame-size sequence with
 // byte prefix sums for O(log n) byte<->frame<->time conversions.
 type Video struct {
-	id     int
-	params Params
 	cum    []int64 // cum[i] = total bytes of frames [0, i); len = NumFrames+1
 	period sim.Duration
 }
@@ -137,14 +135,8 @@ func Generate(params Params, id int, seed uint64) *Video {
 		total += size
 		cum[i+1] = total
 	}
-	return &Video{id: id, params: params, cum: cum, period: params.FramePeriod()}
+	return &Video{cum: cum, period: params.FramePeriod()}
 }
-
-// ID returns the video's identifier.
-func (v *Video) ID() int { return v.id }
-
-// Params returns the encoding parameters.
-func (v *Video) Params() Params { return v.params }
 
 // NumFrames returns the frame count.
 func (v *Video) NumFrames() int { return len(v.cum) - 1 }
@@ -203,10 +195,4 @@ func (v *Video) FramesDisplayedBy(e sim.Duration) int {
 		f = v.NumFrames()
 	}
 	return f
-}
-
-// BytesConsumedBy returns the bytes freed from a playout buffer after
-// elapsed display time e — the bytes of all fully displayed frames.
-func (v *Video) BytesConsumedBy(e sim.Duration) int64 {
-	return v.cum[v.FramesDisplayedBy(e)]
 }

@@ -168,9 +168,6 @@ func TestConsumptionAccounting(t *testing.T) {
 	if got := v.FramesDisplayedBy(10*period + period/2); got != 10 {
 		t.Fatalf("10.5 periods displayed %d", got)
 	}
-	if got := v.BytesConsumedBy(3 * period); got != v.BytesBeforeFrame(3) {
-		t.Fatalf("consumed %d, want %d", got, v.BytesBeforeFrame(3))
-	}
 	// Past the end, the whole video is consumed.
 	if got := v.FramesDisplayedBy(v.Duration() * 2); got != v.NumFrames() {
 		t.Fatalf("past end displayed %d", got)

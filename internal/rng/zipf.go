@@ -42,9 +42,6 @@ func (zf *Zipf) PMF(i int) float64 {
 	return zf.cdf[i] - zf.cdf[i-1]
 }
 
-// N returns the number of items.
-func (zf *Zipf) N() int { return zf.n }
-
 // Draw samples an item index using src.
 func (zf *Zipf) Draw(src *Source) int {
 	u := src.Float64()

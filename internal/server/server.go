@@ -199,9 +199,6 @@ func New(
 	return n
 }
 
-// ID returns the node index.
-func (n *Node) ID() int { return n.id }
-
 // CPU exposes the node CPU (utilization reporting).
 func (n *Node) CPU() *cpu.CPU { return n.cpu }
 

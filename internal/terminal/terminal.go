@@ -356,10 +356,6 @@ func (t *Terminal) SetTrace(rec *trace.Recorder) { t.rec = rec }
 // Stats returns a copy of the terminal's counters.
 func (t *Terminal) Stats() Stats { return t.stats }
 
-// Started reports whether the terminal has begun displaying its first
-// movie (the simulator's warm-up gate, §6).
-func (t *Terminal) Started() bool { return t.started }
-
 // HoldsSlot reports whether the terminal currently holds an admission
 // slot (invariant-checking hook for the chaos harness).
 func (t *Terminal) HoldsSlot() bool { return t.holdsSlot }

@@ -153,61 +153,52 @@ type Event struct {
 	A, B, C, D int64
 }
 
-// kindInfo fixes, per kind, the exported event name, the emitting
-// subsystem, and the JSONL field names of A–D ("" = unused). This
+// kindInfo fixes, per kind, the exported event name and the JSONL
+// field names of A–D ("" = unused). This
 // table *is* the trace schema; OBSERVABILITY.md documents it
 // field-by-field and must be kept in sync.
 var kindInfo = [numKinds]struct {
 	name   string
-	sub    string
 	fields [4]string
 }{
-	KindDiskEnqueue:  {"disk.enqueue", "disk", [4]string{"disk", "qlen", "deadline_ns", "prefetch"}},
-	KindDiskDispatch: {"disk.dispatch", "disk", [4]string{"disk", "qlen", "wait_ns", "prefetch"}},
-	KindDiskComplete: {"disk.complete", "disk", [4]string{"disk", "service_ns", "failed", "prefetch"}},
-	KindPoolHit:      {"pool.hit", "pool", [4]string{"node", "video", "block", "inflight"}},
-	KindPoolMiss:     {"pool.miss", "pool", [4]string{"node", "video", "block", ""}},
-	KindPoolPrefetch: {"pool.prefetch", "pool", [4]string{"node", "video", "block", ""}},
-	KindPoolProtect:  {"pool.protect", "pool", [4]string{"node", "video", "block", ""}},
-	KindPoolEvict:    {"pool.evict", "pool", [4]string{"node", "video", "block", "unreferenced"}},
-	KindNetSend:      {"net.send", "net", [4]string{"bytes", "delay_ns", "dropped", ""}},
-	KindAdmWait:      {"adm.wait", "adm", [4]string{"active", "limit", "", ""}},
-	KindAdmAdmit:     {"adm.admit", "adm", [4]string{"active", "limit", "", ""}},
-	KindAdmRelease:   {"adm.release", "adm", [4]string{"active", "limit", "", ""}},
-	KindAdmReject:    {"adm.reject", "adm", [4]string{"active", "limit", "wait_ns", ""}},
-	KindTermBuffer:   {"term.buffer", "term", [4]string{"buffered_bytes", "outstanding", "frontier_block", ""}},
-	KindTermGlitch:   {"term.glitch", "term", [4]string{"cause", "video", "pos", "buffered_bytes"}},
-	KindTermPrime:    {"term.prime", "term", [4]string{"video", "recover_ns", "primes", ""}},
-	KindTermSeek:     {"term.seek", "term", [4]string{"video", "block", "", ""}},
-	KindOverShed:     {"over.shed", "over", [4]string{"degraded", "limit", "slack_ns", ""}},
-	KindOverRestore:  {"over.restore", "over", [4]string{"degraded", "limit", "slack_ns", ""}},
-	KindOverLimit:    {"over.limit", "over", [4]string{"limit", "prev", "slack_ns", ""}},
-	KindRebuildStart: {"rebuild.start", "rebuild", [4]string{"disk", "blocks", "", ""}},
-	KindRebuildDone:  {"rebuild.done", "rebuild", [4]string{"disk", "rebuilt", "window_ns", ""}},
-	KindNodeSuspect:  {"node.suspect", "node", [4]string{"node", "consec_timeouts", "", ""}},
-	KindSessFailover: {"sess.failover", "node", [4]string{"node", "video", "block", ""}},
-	KindNodeRejoin:   {"node.rejoin", "node", [4]string{"node", "downtime_ns", "", ""}},
-	KindNodeDrop:     {"node.drop", "node", [4]string{"node", "reply", "dropped", ""}},
-	KindCacheHit:     {"cache.hit", "cache", [4]string{"node", "video", "block", ""}},
-	KindCacheInsert:  {"cache.insert", "cache", [4]string{"node", "video", "block", ""}},
-	KindCacheEvict:   {"cache.evict", "cache", [4]string{"node", "video", "block", ""}},
-	KindMergeJoin:    {"merge.join", "merge", [4]string{"leader", "video", "from", ""}},
-	KindMergeDetach:  {"merge.detach", "merge", [4]string{"video", "next_block", "", ""}},
-	KindWlPhase:      {"wl.phase", "wl", [4]string{"phase", "cycle", "load_milli", "promote"}},
+	KindDiskEnqueue:  {"disk.enqueue", [4]string{"disk", "qlen", "deadline_ns", "prefetch"}},
+	KindDiskDispatch: {"disk.dispatch", [4]string{"disk", "qlen", "wait_ns", "prefetch"}},
+	KindDiskComplete: {"disk.complete", [4]string{"disk", "service_ns", "failed", "prefetch"}},
+	KindPoolHit:      {"pool.hit", [4]string{"node", "video", "block", "inflight"}},
+	KindPoolMiss:     {"pool.miss", [4]string{"node", "video", "block", ""}},
+	KindPoolPrefetch: {"pool.prefetch", [4]string{"node", "video", "block", ""}},
+	KindPoolProtect:  {"pool.protect", [4]string{"node", "video", "block", ""}},
+	KindPoolEvict:    {"pool.evict", [4]string{"node", "video", "block", "unreferenced"}},
+	KindNetSend:      {"net.send", [4]string{"bytes", "delay_ns", "dropped", ""}},
+	KindAdmWait:      {"adm.wait", [4]string{"active", "limit", "", ""}},
+	KindAdmAdmit:     {"adm.admit", [4]string{"active", "limit", "", ""}},
+	KindAdmRelease:   {"adm.release", [4]string{"active", "limit", "", ""}},
+	KindAdmReject:    {"adm.reject", [4]string{"active", "limit", "wait_ns", ""}},
+	KindTermBuffer:   {"term.buffer", [4]string{"buffered_bytes", "outstanding", "frontier_block", ""}},
+	KindTermGlitch:   {"term.glitch", [4]string{"cause", "video", "pos", "buffered_bytes"}},
+	KindTermPrime:    {"term.prime", [4]string{"video", "recover_ns", "primes", ""}},
+	KindTermSeek:     {"term.seek", [4]string{"video", "block", "", ""}},
+	KindOverShed:     {"over.shed", [4]string{"degraded", "limit", "slack_ns", ""}},
+	KindOverRestore:  {"over.restore", [4]string{"degraded", "limit", "slack_ns", ""}},
+	KindOverLimit:    {"over.limit", [4]string{"limit", "prev", "slack_ns", ""}},
+	KindRebuildStart: {"rebuild.start", [4]string{"disk", "blocks", "", ""}},
+	KindRebuildDone:  {"rebuild.done", [4]string{"disk", "rebuilt", "window_ns", ""}},
+	KindNodeSuspect:  {"node.suspect", [4]string{"node", "consec_timeouts", "", ""}},
+	KindSessFailover: {"sess.failover", [4]string{"node", "video", "block", ""}},
+	KindNodeRejoin:   {"node.rejoin", [4]string{"node", "downtime_ns", "", ""}},
+	KindNodeDrop:     {"node.drop", [4]string{"node", "reply", "dropped", ""}},
+	KindCacheHit:     {"cache.hit", [4]string{"node", "video", "block", ""}},
+	KindCacheInsert:  {"cache.insert", [4]string{"node", "video", "block", ""}},
+	KindCacheEvict:   {"cache.evict", [4]string{"node", "video", "block", ""}},
+	KindMergeJoin:    {"merge.join", [4]string{"leader", "video", "from", ""}},
+	KindMergeDetach:  {"merge.detach", [4]string{"video", "next_block", "", ""}},
+	KindWlPhase:      {"wl.phase", [4]string{"phase", "cycle", "load_milli", "promote"}},
 }
 
 // Name returns the schema name of the kind ("disk.enqueue", …).
 func (k Kind) Name() string {
 	if k < numKinds {
 		return kindInfo[k].name
-	}
-	return "unknown"
-}
-
-// Subsystem returns the emitting subsystem of the kind ("disk", …).
-func (k Kind) Subsystem() string {
-	if k < numKinds {
-		return kindInfo[k].sub
 	}
 	return "unknown"
 }
@@ -251,9 +242,6 @@ func NewRecorder(k *sim.Kernel, opts Options) *Recorder {
 		netDelay:    stats.NewHistogram(1e-6, 20),
 	}
 }
-
-// Enabled reports whether the recorder actually records.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // emit appends one event to the ring. Hot path: no allocation, no
 // locking, no time lookup beyond the kernel clock read.
