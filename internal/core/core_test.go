@@ -233,7 +233,7 @@ func TestPiggybackReducesServerLoad(t *testing.T) {
 }
 
 func TestFindMaxTerminalsBracketsCapacity(t *testing.T) {
-	res, err := core.FindMaxTerminals(tinyConfig(0), core.SearchOptions{
+	res, err := core.NewRunner(1).FindMaxTerminals(tinyConfig(0), core.SearchOptions{
 		Lo: 8, Hi: 120, Step: 8,
 	})
 	if err != nil {
@@ -252,7 +252,7 @@ func TestFindMaxTerminalsBracketsCapacity(t *testing.T) {
 }
 
 func TestGlitchCurveMonotoneTail(t *testing.T) {
-	curve, err := core.GlitchCurve(tinyConfig(0), []int{16, 120})
+	curve, err := core.NewRunner(1).GlitchCurve(tinyConfig(0), []int{16, 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestFailureRecovery(t *testing.T) {
 // When even the lower bound glitches, the search must descend and still
 // return a meaningful answer (possibly zero).
 func TestSearchDescendsWhenLoFails(t *testing.T) {
-	res, err := core.FindMaxTerminals(tinyConfig(0), core.SearchOptions{
+	res, err := core.NewRunner(1).FindMaxTerminals(tinyConfig(0), core.SearchOptions{
 		Lo: 112, Hi: 120, Step: 8, // tiny system's capacity is ~40-60
 	})
 	if err != nil {
@@ -403,7 +403,7 @@ func TestSearchDescendsWhenLoFails(t *testing.T) {
 
 // A capacity beyond Hi is reported as Hi (the cap), not an error.
 func TestSearchCapsAtHi(t *testing.T) {
-	res, err := core.FindMaxTerminals(tinyConfig(0), core.SearchOptions{
+	res, err := core.NewRunner(1).FindMaxTerminals(tinyConfig(0), core.SearchOptions{
 		Lo: 8, Hi: 16, Step: 8,
 	})
 	if err != nil {
@@ -417,7 +417,7 @@ func TestSearchCapsAtHi(t *testing.T) {
 func TestConfidentMaxStopsOnAgreement(t *testing.T) {
 	// The deterministic tiny system gives near-identical per-seed maxima,
 	// so the §7.1 stopping rule should fire at the minimum seed count.
-	iv, maxima, err := core.ConfidentMax(tinyConfig(0), core.SearchOptions{
+	iv, maxima, err := core.NewRunner(1).ConfidentMax(tinyConfig(0), core.SearchOptions{
 		Lo: 16, Hi: 96, Step: 16,
 	}, 0.90, 0.25, 2, 4)
 	if err != nil {

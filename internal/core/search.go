@@ -371,12 +371,6 @@ func (s *searcher) search() error {
 	return nil
 }
 
-// FindMaxTerminals binary-searches the largest glitch-free terminal
-// count on the Step lattice, one run at a time.
-func FindMaxTerminals(cfg Config, opt SearchOptions) (SearchResult, error) {
-	return NewRunner(1).FindMaxTerminals(cfg, opt)
-}
-
 // GlitchCurve evaluates glitch counts over a set of terminal counts —
 // the raw data behind the paper's Figure 9 — running the points
 // concurrently. Results are keyed to the counts, so the curve is
@@ -401,12 +395,6 @@ func (r *Runner) GlitchCurve(cfg Config, counts []int) (map[int]int64, error) {
 		out[t] = g
 	}
 	return out, nil
-}
-
-// GlitchCurve evaluates glitch counts over a set of terminal counts,
-// one run at a time.
-func GlitchCurve(cfg Config, counts []int) (map[int]int64, error) {
-	return NewRunner(1).GlitchCurve(cfg, counts)
 }
 
 // ConfidentMax applies the paper's §7.1 stopping rule: independent
@@ -475,9 +463,4 @@ func (r *Runner) ConfidentMax(cfg Config, opt SearchOptions, level, relWidth flo
 	iv := stats.ConfidenceInterval(maxima, level)
 	sort.Ints(raw)
 	return iv, raw, nil
-}
-
-// ConfidentMax applies the §7.1 stopping rule one search at a time.
-func ConfidentMax(cfg Config, opt SearchOptions, level, relWidth float64, minSeeds, maxSeeds int) (stats.Interval, []int, error) {
-	return NewRunner(1).ConfidentMax(cfg, opt, level, relWidth, minSeeds, maxSeeds)
 }

@@ -177,13 +177,13 @@ func NewRunner(workers int) *Runner { return core.NewRunner(workers) }
 // FindMaxTerminals searches for the largest glitch-free terminal count —
 // the paper's primary performance metric (§7.1).
 func FindMaxTerminals(cfg Config, opt SearchOptions) (SearchResult, error) {
-	return core.FindMaxTerminals(cfg, opt)
+	return core.NewRunner(1).FindMaxTerminals(cfg, opt)
 }
 
 // GlitchCurve measures glitch counts at each terminal count (Figure 9's
 // raw data).
 func GlitchCurve(cfg Config, counts []int) (map[int]int64, error) {
-	return core.GlitchCurve(cfg, counts)
+	return core.NewRunner(1).GlitchCurve(cfg, counts)
 }
 
 // ConfidentMax repeats independent max-terminal searches across seeds
@@ -191,7 +191,7 @@ func GlitchCurve(cfg Config, counts []int) (map[int]int64, error) {
 // relative half-width `relWidth`), returning the interval and per-seed
 // maxima.
 func ConfidentMax(cfg Config, opt SearchOptions, level, relWidth float64, minSeeds, maxSeeds int) (Interval, []int, error) {
-	return core.ConfidentMax(cfg, opt, level, relWidth, minSeeds, maxSeeds)
+	return core.NewRunner(1).ConfidentMax(cfg, opt, level, relWidth, minSeeds, maxSeeds)
 }
 
 // RealTimeSched is a convenience constructor for the paper's tuned
