@@ -682,17 +682,13 @@ func Run(cfg Config) (Metrics, error) {
 // applyFaultPlan schedules every planned fault as a kernel event.
 func (s *Simulation) applyFaultPlan(plan []faults.Event) {
 	for _, ev := range plan {
-		ev := ev
 		switch ev.Kind {
 		case faults.KindDiskSlow:
-			d := s.diskByGlobal(ev.Index)
-			s.k.At(ev.At, func() { d.InjectFault(ev.Factor, ev.Duration) })
+			s.ScheduleDiskFault(ev.Index, ev.At, ev.Factor, ev.Duration)
 		case faults.KindDiskFail:
-			d := s.diskByGlobal(ev.Index)
-			s.k.At(ev.At, func() { d.Fail(ev.Duration) })
+			s.ScheduleDiskFailStop(ev.Index, ev.At, ev.Duration)
 		case faults.KindNodeCrash:
-			n := s.nodes[ev.Index]
-			s.k.At(ev.At, func() { n.Crash(ev.Duration) })
+			s.ScheduleNodeCrash(ev.Index, ev.At, ev.Duration)
 		}
 	}
 }
@@ -721,9 +717,7 @@ func (s *Simulation) ScheduleNodeCrash(node int, at sim.Time, restart sim.Durati
 // Failure-injection tests use it to verify that the closed-loop system
 // glitches under degradation and restabilizes afterwards.
 func (s *Simulation) ScheduleDiskFault(diskGlobal int, at sim.Time, factor float64, duration sim.Duration) {
-	node := diskGlobal / s.cfg.DisksPerNode
-	local := diskGlobal % s.cfg.DisksPerNode
-	d := s.nodes[node].Disks()[local]
+	d := s.diskByGlobal(diskGlobal)
 	s.k.At(at, func() { d.InjectFault(factor, duration) })
 }
 

@@ -134,17 +134,7 @@ func (t *Terminal) resend(pr *pendingReq) {
 	addr := t.place.LocateCopy(pr.vid, pr.block, copy)
 	pr.redirected = t.cfg.Failover && copy != 0 &&
 		t.cfg.Health.Suspect(t.place.Locate(pr.vid, pr.block).Node)
-	req := &proto.BlockRequest{
-		Video:    pr.vid,
-		Block:    pr.block,
-		Size:     pr.size,
-		Deadline: t.deadlineFor(pr.block),
-		Terminal: t.id,
-		Copy:     copy,
-		Attempt:  attempt,
-		Deliver:  t.replied,
-		Issued:   t.k.Now(),
-	}
+	req := t.blockRequest(pr.vid, pr.block, pr.size, copy, attempt)
 	pr.req = req
 	pr.node = addr.Node
 	t.send(addr.Node, req)

@@ -967,16 +967,7 @@ func (t *Terminal) issue(p *sim.Proc, size int64) {
 			addr, copy = alt, 1
 		}
 	}
-	req := &proto.BlockRequest{
-		Video:    t.vid,
-		Block:    b,
-		Size:     size,
-		Deadline: t.deadlineFor(b),
-		Terminal: t.id,
-		Copy:     copy,
-		Deliver:  t.replied,
-		Issued:   t.k.Now(),
-	}
+	req := t.blockRequest(t.vid, b, size, copy, 0)
 	if t.cfg.SendLatency > 0 {
 		p.Sleep(t.cfg.SendLatency)
 	}
@@ -985,6 +976,22 @@ func (t *Terminal) issue(p *sim.Proc, size int64) {
 		pr := &pendingReq{req: req, vid: t.vid, block: b, size: size, tries: 1, node: addr.Node}
 		t.pending[b] = pr
 		t.armTimeout(pr)
+	}
+}
+
+// blockRequest builds one attempt's request for block b of video vid,
+// issued now and stamped with the block's display deadline.
+func (t *Terminal) blockRequest(vid, b int, size int64, copy, attempt int) *proto.BlockRequest {
+	return &proto.BlockRequest{
+		Video:    vid,
+		Block:    b,
+		Size:     size,
+		Deadline: t.deadlineFor(b),
+		Terminal: t.id,
+		Copy:     copy,
+		Attempt:  attempt,
+		Deliver:  t.replied,
+		Issued:   t.k.Now(),
 	}
 }
 
