@@ -757,7 +757,7 @@ func (t *Terminal) syncConsumption() {
 	if !t.playing {
 		return
 	}
-	f := int((t.k.Now() - t.displayStart) / sim.Time(t.video.FramePeriod()))
+	f := t.video.FramesDisplayedBy(t.k.Now().Sub(t.displayStart))
 	if cap := t.video.FirstIncompleteFrame(t.frontierBytes); f > cap {
 		f = cap
 	}
