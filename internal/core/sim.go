@@ -616,6 +616,7 @@ func (s *Simulation) Run() (Metrics, error) {
 		m.Nodes.DroppedReqs += ns.DroppedReqs - on.DroppedReqs
 		m.Nodes.DroppedReplies += ns.DroppedReplies - on.DroppedReplies
 		m.Nodes.Crashes += ns.Crashes - on.Crashes
+		m.Nodes.StaleNacks += ns.StaleNacks - on.StaleNacks
 		m.StaleNacks += ns.StaleNacks - on.StaleNacks
 		ps, op := &now.pools[i], &open.pools[i]
 		m.Pool.DemandRefs += ps.DemandRefs - op.DemandRefs
