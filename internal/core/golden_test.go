@@ -5,7 +5,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
+	"reflect"
+	"sync"
 	"testing"
 
 	"spiffi/internal/bufferpool"
@@ -204,6 +207,25 @@ var goldenCases = []goldenCase{
 	},
 }
 
+// goldenRuns runs every golden case once per test binary: the digest pin
+// and the fold check read the same Metrics.
+var goldenRuns = sync.OnceValues(func() ([]core.Metrics, error) {
+	out := make([]core.Metrics, len(goldenCases))
+	for i, c := range goldenCases {
+		s, err := core.NewSimulation(c.cfg())
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.name, err)
+		}
+		if c.script != nil {
+			c.script(s)
+		}
+		if out[i], err = s.Run(); err != nil {
+			return nil, fmt.Errorf("%s: %w", c.name, err)
+		}
+	}
+	return out, nil
+})
+
 // metricsDigest is the SHA-256 of m's JSON followed by its report.
 func metricsDigest(t *testing.T, m core.Metrics) string {
 	t.Helper()
@@ -230,18 +252,12 @@ func TestMetricsGolden(t *testing.T) {
 	} else if !*updateGolden {
 		t.Fatal(err)
 	}
-	for _, c := range goldenCases {
-		s, err := core.NewSimulation(c.cfg())
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if c.script != nil {
-			c.script(s)
-		}
-		m, err := s.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
+	runs, err := goldenRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range goldenCases {
+		m := runs[i]
 		if !c.fires(m) {
 			t.Errorf("%s: the run no longer exercises its counter family:\n%s", c.name, m)
 		}
@@ -263,6 +279,54 @@ func TestMetricsGolden(t *testing.T) {
 		}
 		if err := os.WriteFile(metricsGoldenPath, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// unfoldedAllowed names the Metrics.Pool and Metrics.Nodes counters that
+// are zero in every golden case for a reason other than a missing fold.
+var unfoldedAllowed = map[string]string{
+	"Nodes.DroppedReplies": "needs a node to crash while serving a demand request it accepted; the golden crash catches none in service",
+	"Pool.AllocWaits":      "needs every frame pinned at once; the golden pools always hold an unpinned victim",
+	"Pool.PrefetchSkip":    "cannot fire: the server checks Pool.Contains before every prefetch Acquire",
+}
+
+// A component counter that Simulation.Run forgets to fold into Metrics
+// reads 0 in every run. So every numeric field of Metrics.Pool
+// (bufferpool.Stats) and Metrics.Nodes (server.Stats) must be nonzero in
+// at least one golden case, unless unfoldedAllowed says why not.
+func TestEveryPoolAndNodeCounterIsFolded(t *testing.T) {
+	runs, err := goldenRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := []struct {
+		name string
+		get  func(m *core.Metrics) reflect.Value
+	}{
+		{"Pool", func(m *core.Metrics) reflect.Value { return reflect.ValueOf(m.Pool) }},
+		{"Nodes", func(m *core.Metrics) reflect.Value { return reflect.ValueOf(m.Nodes) }},
+	}
+	for _, fam := range families {
+		typ := fam.get(&runs[0]).Type()
+		for f := 0; f < typ.NumField(); f++ {
+			switch typ.Field(f).Type.Kind() {
+			case reflect.Int, reflect.Int64, reflect.Float64:
+			default:
+				continue
+			}
+			name := fam.name + "." + typ.Field(f).Name
+			fired := false
+			for i := range runs {
+				fired = fired || !fam.get(&runs[i]).Field(f).IsZero()
+			}
+			_, allowed := unfoldedAllowed[name]
+			switch {
+			case !fired && !allowed:
+				t.Errorf("Metrics.%s is 0 in every golden case: is it folded in Simulation.Run?", name)
+			case fired && allowed:
+				t.Errorf("Metrics.%s now fires in a golden case; drop it from unfoldedAllowed", name)
+			}
 		}
 	}
 }
