@@ -114,8 +114,10 @@ trace-demo:
 bench:
 	bash bench/run.sh
 
-# bench/ is a module of its own, so the root `go test ./...` does not
-# reach it. Its short tests check the pinned golden digests and that it
-# still builds against the simulator packages.
+# bench/ is a module of its own, so the root `go vet ./...` and
+# `go test ./...` do not reach it. Vet it, and run its short tests, which
+# check the pinned golden digests and that it still builds against the
+# simulator packages.
 bench-test:
+	cd bench && $(GO) vet ./...
 	cd bench && $(GO) test -short ./...
