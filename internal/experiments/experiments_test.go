@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// seriesY extracts a series' Y value at x, for tests.
+// seriesY extracts a series' Y value at x.
 func (r Result) seriesY(name string, x float64) (float64, bool) {
 	for _, s := range r.Series {
 		if s.Name != name {

@@ -1,7 +1,8 @@
 // Package stats provides the measurement machinery for the SPIFFI
-// simulation: sample tallies, windowed peak-rate meters (for the paper's Figure 18 aggregate network bandwidth), and the
-// Student-t confidence intervals behind the paper's §7.1 stopping rule
-// ("90% confident that the results were within 5%").
+// simulation: sample tallies, windowed peak-rate meters (for the paper's
+// Figure 18 aggregate network bandwidth), and the Student-t confidence
+// intervals behind the paper's §7.1 stopping rule ("90% confident that
+// the results were within 5%").
 package stats
 
 import "math"

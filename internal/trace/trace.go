@@ -154,9 +154,8 @@ type Event struct {
 }
 
 // kindInfo fixes, per kind, the exported event name and the JSONL
-// field names of A–D ("" = unused). This
-// table *is* the trace schema; OBSERVABILITY.md documents it
-// field-by-field and must be kept in sync.
+// field names of A–D ("" = unused). This table *is* the trace schema;
+// OBSERVABILITY.md documents it field-by-field and must be kept in sync.
 var kindInfo = [numKinds]struct {
 	name   string
 	fields [4]string
