@@ -156,7 +156,7 @@ func (s *searcher) ensure(counts []int) {
 		for _, t := range fresh {
 			s.cache[t] = s.fold(t, func(j int) (Metrics, error) {
 				s.executed++
-				return Run(s.config(t, seeds[j]))
+				return s.r.Run(s.config(t, seeds[j]))
 			})
 		}
 		return
