@@ -20,9 +20,12 @@ import (
 // failure) whose outcomes the decision path may discard.
 //
 // The pool bounds concurrent simulation executions, not goroutines:
-// nested fan-out (a sweep of searches, each search probing in parallel)
-// shares one semaphore, so total simulation concurrency never exceeds
-// Workers however deep the nesting.
+// every simulation a Runner's methods start, the lazy seed-by-seed runs
+// of a 1-worker search included, takes one of its slots. Nested fan-out
+// (a sweep of searches, each search probing in parallel) shares one
+// semaphore, so total simulation concurrency never exceeds Workers
+// however deep the nesting, and a 1-worker Runner runs one simulation
+// at a time.
 type Runner struct {
 	workers int
 	sem     chan struct{}
@@ -42,10 +45,22 @@ func NewRunner(workers int) *Runner {
 func (r *Runner) Workers() int { return r.workers }
 
 // Run executes one simulation under the pool's concurrency limit.
-func (r *Runner) Run(cfg Config) (Metrics, error) {
+func (r *Runner) Run(cfg Config) (Metrics, error) { return r.RunScript(cfg, nil) }
+
+// RunScript executes one simulation under the pool's concurrency limit,
+// applying script, if non-nil, to the assembled Simulation before it
+// runs: the hook for scripted events such as ScheduleNodeCrash.
+func (r *Runner) RunScript(cfg Config, script func(*Simulation)) (Metrics, error) {
 	r.sem <- struct{}{}
 	defer func() { <-r.sem }()
-	return Run(cfg)
+	s, err := NewSimulation(cfg)
+	if err != nil {
+		return Metrics{}, err
+	}
+	if script != nil {
+		script(s)
+	}
+	return s.Run()
 }
 
 // runAll executes every configuration on the pool and returns results

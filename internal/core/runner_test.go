@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spiffi/internal/core"
+	"spiffi/internal/sim"
 )
 
 // searchOpts brackets the tiny system's ~40-60 terminal capacity tightly
@@ -123,6 +124,37 @@ func TestRunManyMatchesIndividualRuns(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("RunMany[%d] diverged from Run:\ngot:  %+v\nwant: %+v", i, got[i], want)
 		}
+	}
+}
+
+// RunScript must apply its script to the assembled simulation before it
+// runs: a scripted node crash through the pool gives exactly what the
+// same crash scheduled by hand gives, and differs from the plain run.
+func TestRunScriptAppliesScript(t *testing.T) {
+	cfg := tinyConfig(24)
+	crash := func(s *core.Simulation) { s.ScheduleNodeCrash(1, sim.Time(30*sim.Second), 0) }
+	got, err := core.NewRunner(2).RunScript(cfg, crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(s)
+	want, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunScript diverged from the hand-scripted run:\ngot:  %+v\nwant: %+v", got, want)
+	}
+	plain, err := core.NewRunner(2).Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(got, plain) {
+		t.Fatal("the scripted crash changed nothing: RunScript ignored its script")
 	}
 }
 
