@@ -29,22 +29,24 @@ func AblationRTParams(f Fidelity) (Result, error) {
 		XLabel: "priority spacing (s)",
 		YLabel: "max terminals",
 	}
-	for _, classes := range []int{2, 3, 8} {
-		s := Series{Name: fmt.Sprintf("%d classes", classes)}
-		for _, spacing := range []sim.Duration{1 * sim.Second, 4 * sim.Second, 8 * sim.Second} {
-			cfg := base()
-			cfg.Sched = dsched.Config{Kind: dsched.KindRealTime, Classes: classes, Spacing: spacing}
-			cfg.Replacement = bufferpool.PolicyLovePrefetch
-			cfg.ServerMemBytes = 512 * core.MB
-			r, err := f.search(cfg, 0, 0)
-			if err != nil {
-				return res, err
-			}
-			s.Points = append(s.Points, Point{X: spacing.Seconds(), Y: float64(r.MaxTerminals)})
-		}
-		res.Series = append(res.Series, s)
+	spacings := []sim.Duration{1 * sim.Second, 4 * sim.Second, 8 * sim.Second}
+	xs := make([]float64, len(spacings))
+	for i, sp := range spacings {
+		xs[i] = sp.Seconds()
 	}
-	return res, nil
+	var vs []variant
+	for _, classes := range []int{2, 3, 8} {
+		vs = append(vs, variant{fmt.Sprintf("%d classes", classes), func(c *core.Config) { c.Sched.Classes = classes }})
+	}
+	series, _, err := sweep(f, vs, xs, func(c int) core.Config {
+		cfg := base()
+		cfg.Sched = dsched.Config{Kind: dsched.KindRealTime, Spacing: spacings[c]}
+		cfg.Replacement = bufferpool.PolicyLovePrefetch
+		cfg.ServerMemBytes = 512 * core.MB
+		return cfg
+	})
+	res.Series = series
+	return res, err
 }
 
 // AblationPrefetch measures what prefetching buys: no prefetching vs.
@@ -57,31 +59,19 @@ func AblationPrefetch(f Fidelity) (Result, error) {
 		XLabel: "variant",
 		YLabel: "max terminals",
 	}
-	variants := []struct {
-		idx  float64
-		name string
-		pf   prefetch.Config
-	}{
-		{1, "off", prefetch.Config{Mode: prefetch.ModeOff}},
-		{2, "basic(1 worker)", prefetch.Config{Mode: prefetch.ModeBasic, WorkersPerDisk: 1}},
-		{3, "real-time(4 workers)", prefetch.Config{Mode: prefetch.ModeRealTime, WorkersPerDisk: 4}},
+	common := base()
+	common.Sched = rt34()
+	common.Replacement = bufferpool.PolicyLovePrefetch
+	common.ServerMemBytes = 512 * core.MB
+	prefetching := func(pf prefetch.Config) func(*core.Config) {
+		return func(c *core.Config) { c.Prefetch = pf }
 	}
-	s := Series{Name: "max terminals"}
-	for _, v := range variants {
-		cfg := base()
-		cfg.Sched = rt34()
-		cfg.Replacement = bufferpool.PolicyLovePrefetch
-		cfg.ServerMemBytes = 512 * core.MB
-		cfg.Prefetch = v.pf
-		r, err := f.search(cfg, 0, 0)
-		if err != nil {
-			return res, fmt.Errorf("%s: %w", v.name, err)
-		}
-		s.Points = append(s.Points, Point{X: v.idx, Y: float64(r.MaxTerminals)})
-		res.Notes = append(res.Notes, fmt.Sprintf("x=%g is %s", v.idx, v.name))
-	}
-	res.Series = append(res.Series, s)
-	return res, nil
+	err := variantMaxima(f, &res, common, []variant{
+		{"off", prefetching(prefetch.Config{Mode: prefetch.ModeOff})},
+		{"basic(1 worker)", prefetching(prefetch.Config{Mode: prefetch.ModeBasic, WorkersPerDisk: 1})},
+		{"real-time(4 workers)", prefetching(prefetch.Config{Mode: prefetch.ModeRealTime, WorkersPerDisk: 4})},
+	})
+	return res, err
 }
 
 // AblationDiskCache removes the drive's segmented read-ahead cache to
@@ -94,25 +84,12 @@ func AblationDiskCache(f Fidelity) (Result, error) {
 		XLabel: "stripe size (KB)",
 		YLabel: "max terminals",
 	}
-	for _, contexts := range []int{8, 0} {
-		name := "8 contexts"
-		if contexts == 0 {
-			name = "no cache"
-		}
-		s := Series{Name: name}
-		for _, kb := range f.StripePointsKB {
-			cfg := base()
-			cfg.StripeBytes = kb * core.KB
-			cfg.DiskParams.CacheContexts = contexts
-			r, err := f.search(cfg, 0, 0)
-			if err != nil {
-				return res, err
-			}
-			s.Points = append(s.Points, Point{X: float64(kb), Y: float64(r.MaxTerminals)})
-		}
-		res.Series = append(res.Series, s)
+	contexts := func(n int) func(*core.Config) {
+		return func(c *core.Config) { c.DiskParams.CacheContexts = n }
 	}
-	return res, nil
+	series, err := stripeSweep(f, []variant{{"8 contexts", contexts(8)}, {"no cache", contexts(0)}})
+	res.Series = series
+	return res, err
 }
 
 // AblationSchedulerZoo adds SSTF and C-SCAN (classic algorithms the
@@ -125,24 +102,17 @@ func AblationSchedulerZoo(f Fidelity) (Result, error) {
 		XLabel: "variant",
 		YLabel: "max terminals",
 	}
-	s := Series{Name: "max terminals"}
-	for i, sc := range []dsched.Config{
+	var vs []variant
+	for _, sc := range []dsched.Config{
 		{Kind: dsched.KindElevator},
 		{Kind: dsched.KindCSCAN},
 		{Kind: dsched.KindSSTF},
 		{Kind: dsched.KindFCFS},
 	} {
-		cfg := base()
-		cfg.Sched = sc
-		r, err := f.search(cfg, 0, 0)
-		if err != nil {
-			return res, fmt.Errorf("%v: %w", sc, err)
-		}
-		s.Points = append(s.Points, Point{X: float64(i + 1), Y: float64(r.MaxTerminals)})
-		res.Notes = append(res.Notes, fmt.Sprintf("x=%d is %s", i+1, sc.String()))
+		vs = append(vs, variant{sc.String(), func(c *core.Config) { c.Sched = sc }})
 	}
-	res.Series = append(res.Series, s)
-	return res, nil
+	err := variantMaxima(f, &res, base(), vs)
+	return res, err
 }
 
 // Admission reproduces §4's design argument: the worst-case analytical
@@ -159,6 +129,7 @@ func Admission(f Fidelity) (Result, error) {
 		XLabel: "variant",
 		YLabel: "terminals",
 	}
+	f = f.withPool()
 	cfg := base()
 	a := admission.Analysis{
 		Disk:        cfg.DiskParams,
@@ -195,25 +166,12 @@ func AblationZonedDisks(f Fidelity) (Result, error) {
 		XLabel: "stripe size (KB)",
 		YLabel: "max terminals",
 	}
-	for _, zoned := range []bool{false, true} {
-		name := "constant cylinders"
-		if zoned {
-			name = "zoned (8 zones)"
-		}
-		s := Series{Name: name}
-		for _, kb := range f.StripePointsKB {
-			cfg := base()
-			cfg.StripeBytes = kb * core.KB
-			cfg.ZonedDisks = zoned
-			r, err := f.search(cfg, 0, 0)
-			if err != nil {
-				return res, err
-			}
-			s.Points = append(s.Points, Point{X: float64(kb), Y: float64(r.MaxTerminals)})
-		}
-		res.Series = append(res.Series, s)
+	zoned := func(on bool) func(*core.Config) {
+		return func(c *core.Config) { c.ZonedDisks = on }
 	}
-	return res, nil
+	series, err := stripeSweep(f, []variant{{"constant cylinders", zoned(false)}, {"zoned (8 zones)", zoned(true)}})
+	res.Series = series
+	return res, err
 }
 
 // VCRSeek exercises the §8.1 rewind/fast-forward implementation: max
@@ -227,36 +185,21 @@ func VCRSeek(f Fidelity) (Result, error) {
 		XLabel: "variant",
 		YLabel: "max terminals",
 	}
-	mk := func(v *terminal.VCRConfig) core.Config {
-		cfg := base()
-		cfg.Replacement = bufferpool.PolicyLovePrefetch
-		cfg.ServerMemBytes = 512 * core.MB
-		cfg.VCR = v
-		return cfg
+	common := base()
+	common.Replacement = bufferpool.PolicyLovePrefetch
+	common.ServerMemBytes = 512 * core.MB
+	vcr := func(v *terminal.VCRConfig) func(*core.Config) {
+		return func(c *core.Config) { c.VCR = v }
 	}
-	variants := []struct {
-		idx  float64
-		name string
-		cfg  core.Config
-	}{
-		{1, "no seeks", mk(nil)},
-		{2, "jump seeks", mk(&terminal.VCRConfig{
+	err := variantMaxima(f, &res, common, []variant{
+		{"no seeks", vcr(nil)},
+		{"jump seeks", vcr(&terminal.VCRConfig{
 			MeanSeeksPerMovie: 2, MeanDistanceFrac: 0.25, ForwardProb: 0.5,
 		})},
-		{3, "visual search", mk(&terminal.VCRConfig{
+		{"visual search", vcr(&terminal.VCRConfig{
 			MeanSeeksPerMovie: 2, MeanDistanceFrac: 0.25, ForwardProb: 0.5,
 			Skim: true, SkimStrideBlocks: 8, SkimSegmentFrames: 30,
 		})},
-	}
-	s := Series{Name: "max terminals"}
-	for _, v := range variants {
-		r, err := f.search(v.cfg, 0, 0)
-		if err != nil {
-			return res, fmt.Errorf("%s: %w", v.name, err)
-		}
-		s.Points = append(s.Points, Point{X: v.idx, Y: float64(r.MaxTerminals)})
-		res.Notes = append(res.Notes, fmt.Sprintf("x=%g is %s", v.idx, v.name))
-	}
-	res.Series = append(res.Series, s)
-	return res, nil
+	})
+	return res, err
 }

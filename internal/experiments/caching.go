@@ -39,10 +39,7 @@ func Caching(f Fidelity) (Result, error) {
 	}
 
 	const budget = 32 * core.MB
-	variants := []struct {
-		name  string
-		apply func(*core.Config)
-	}{
+	variants := []variant{
 		{"none", func(c *core.Config) {}},
 		{"lru", func(c *core.Config) {
 			c.Cache = cache.Config{BudgetBytes: budget, Policy: cache.PolicyLRU, PrefixBlocks: 16}
@@ -53,25 +50,21 @@ func Caching(f Fidelity) (Result, error) {
 	}
 	skews := []float64{0.5, 1.0, 1.5}
 
-	// One flat batch in deterministic index order; the pool fans it out.
-	var cfgs []core.Config
-	for _, v := range variants {
-		for _, z := range skews {
-			cfg := cachingBase()
-			cfg.Trace = f.Trace
-			cfg.ZipfZ = z
-			v.apply(&cfg)
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	ms, err := f.pool().RunMany(cfgs)
+	f = f.withPool()
+	ms, err := grid(f, len(variants), len(skews), func(f Fidelity, vi, zi int) (core.Metrics, error) {
+		cfg := cachingBase()
+		cfg.Trace = f.Trace
+		cfg.ZipfZ = skews[zi]
+		variants[vi].apply(&cfg)
+		return f.run.Run(cfg)
+	})
 	if err != nil {
 		return res, err
 	}
 	for vi, v := range variants {
 		s := Series{Name: v.name}
 		for zi, z := range skews {
-			m := ms[vi*len(skews)+zi]
+			m := ms[vi][zi]
 			s.Points = append(s.Points, Point{X: z, Y: float64(m.DiskReads) / float64(m.Terminals)})
 			res.Notes = append(res.Notes, fmt.Sprintf(
 				"%s z=%.1f: diskreads=%d (%.1f/terminal) glitches=%d cache hits=%d misses=%d evictions=%d merges=%d forwarded=%d detaches=%d",
@@ -86,18 +79,24 @@ func Caching(f Fidelity) (Result, error) {
 	// glitch-free terminal count with and without the caching tier.
 	// The searches use the experiment's own workload (not f.apply's
 	// timings — see cachingBase) with the fidelity's step and seeds.
-	for _, v := range variants {
+	caps, err := grid(f, 1, len(variants), func(f Fidelity, _, vi int) (int, error) {
 		cfg := cachingBase()
 		cfg.ZipfZ = 1.0
-		v.apply(&cfg)
-		r, err := f.pool().FindMaxTerminals(cfg, core.SearchOptions{
+		variants[vi].apply(&cfg)
+		r, err := f.run.FindMaxTerminals(cfg, core.SearchOptions{
 			Lo: 60, Hi: 420, Step: f.Step, Seeds: f.Seeds,
 		})
 		if err != nil {
-			return res, fmt.Errorf("capacity search (%s): %w", v.name, err)
+			return 0, fmt.Errorf("capacity search (%s): %w", variants[vi].name, err)
 		}
+		return r.MaxTerminals, nil
+	})
+	if err != nil {
+		return res, err
+	}
+	for vi, v := range variants {
 		res.Notes = append(res.Notes, fmt.Sprintf(
-			"capacity z=1.0 %s: max terminals %d", v.name, r.MaxTerminals))
+			"capacity z=1.0 %s: max terminals %d", v.name, caps[0][vi]))
 	}
 	return res, nil
 }

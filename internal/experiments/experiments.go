@@ -64,7 +64,7 @@ func Fig09GlitchCurve(f Fidelity) (Result, error) {
 			counts = append(counts, max+d)
 		}
 	}
-	curve, err := f.pool().GlitchCurve(f.apply(cfg), counts)
+	curve, err := f.run.GlitchCurve(f.apply(cfg), counts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -103,86 +103,13 @@ func Fig10SchedStripe(f Fidelity) (Result, error) {
 		XLabel: "stripe size (KB)",
 		YLabel: "max terminals",
 	}
-	f = f.withPool()
-	algs := fig10Algs()
-	series := make([]Series, len(algs))
-	err := fanout(len(algs), func(a int) error {
-		sc := algs[a]
-		maxes := make([]int, len(f.StripePointsKB))
-		err := fanout(len(f.StripePointsKB), func(i int) error {
-			kb := f.StripePointsKB[i]
-			cfg := base()
-			cfg.Sched = sc
-			cfg.StripeBytes = kb * core.KB
-			r, err := f.search(cfg, 0, 0)
-			if err != nil {
-				return fmt.Errorf("%v stripe=%dKB: %w", sc, kb, err)
-			}
-			maxes[i] = r.MaxTerminals
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		s := Series{Name: sc.String()}
-		for i, kb := range f.StripePointsKB {
-			s.Points = append(s.Points, Point{X: float64(kb), Y: float64(maxes[i])})
-		}
-		series[a] = s
-		return nil
-	})
-	if err != nil {
-		return res, err
+	var vs []variant
+	for _, sc := range fig10Algs() {
+		vs = append(vs, variant{sc.String(), func(c *core.Config) { c.Sched = sc }})
 	}
+	series, err := stripeSweep(f, vs)
 	res.Series = series
-	return res, nil
-}
-
-// memSweep runs a server-memory sweep for one configuration variant,
-// searching the sweep points concurrently on the shared pool.
-func memSweep(f Fidelity, name string, mutate func(*core.Config)) (Series, []core.SearchResult, error) {
-	f = f.withPool()
-	s := Series{Name: name}
-	results := make([]core.SearchResult, len(f.MemoryPointsMB))
-	err := fanout(len(f.MemoryPointsMB), func(i int) error {
-		mb := f.MemoryPointsMB[i]
-		cfg := base()
-		cfg.ServerMemBytes = mb * core.MB
-		mutate(&cfg)
-		r, err := f.search(cfg, 0, 0)
-		if err != nil {
-			return fmt.Errorf("%s mem=%dMB: %w", name, mb, err)
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return s, nil, err
-	}
-	for i, mb := range f.MemoryPointsMB {
-		s.Points = append(s.Points, Point{X: float64(mb), Y: float64(results[i].MaxTerminals)})
-	}
-	return s, results, nil
-}
-
-// variantSweep fans the named memSweep variants out concurrently,
-// returning one series per variant in input order.
-func variantSweep(f Fidelity, names []string, mutates []func(*core.Config)) ([]Series, [][]core.SearchResult, error) {
-	f = f.withPool()
-	series := make([]Series, len(names))
-	results := make([][]core.SearchResult, len(names))
-	err := fanout(len(names), func(i int) error {
-		s, rs, err := memSweep(f, names[i], mutates[i])
-		if err != nil {
-			return err
-		}
-		series[i], results[i] = s, rs
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return series, results, nil
+	return res, err
 }
 
 // Fig11MemoryElevator reproduces Figure 11: max terminals vs. server
@@ -194,17 +121,12 @@ func Fig11MemoryElevator(f Fidelity) (Result, error) {
 		XLabel: "server memory (MB)",
 		YLabel: "max terminals",
 	}
-	series, _, err := variantSweep(f,
-		[]string{"global-lru", "love-prefetch"},
-		[]func(*core.Config){
-			func(c *core.Config) { c.Replacement = bufferpool.PolicyGlobalLRU },
-			func(c *core.Config) { c.Replacement = bufferpool.PolicyLovePrefetch },
-		})
-	if err != nil {
-		return res, err
-	}
+	series, _, err := memorySweep(f, []variant{
+		{"global-lru", func(c *core.Config) { c.Replacement = bufferpool.PolicyGlobalLRU }},
+		{"love-prefetch", func(c *core.Config) { c.Replacement = bufferpool.PolicyLovePrefetch }},
+	})
 	res.Series = series
-	return res, nil
+	return res, err
 }
 
 // Fig12MemoryRealTime reproduces Figure 12: the same sweep under
@@ -217,33 +139,45 @@ func Fig12MemoryRealTime(f Fidelity) (Result, error) {
 		XLabel: "server memory (MB)",
 		YLabel: "max terminals",
 	}
-	series, _, err := variantSweep(f,
-		[]string{"global-lru", "love-prefetch", "love+delayed(8s)", "love+delayed(4s)"},
-		[]func(*core.Config){
-			func(c *core.Config) {
-				c.Sched = rt34()
-				c.Replacement = bufferpool.PolicyGlobalLRU
-			},
-			func(c *core.Config) {
-				c.Sched = rt34()
-				c.Replacement = bufferpool.PolicyLovePrefetch
-			},
-			func(c *core.Config) {
-				c.Sched = rt34()
-				c.Replacement = bufferpool.PolicyLovePrefetch
-				c.Prefetch = prefetch.Config{Mode: prefetch.ModeDelayed, MaxAdvance: 8 * sim.Second}
-			},
-			func(c *core.Config) {
-				c.Sched = rt34()
-				c.Replacement = bufferpool.PolicyLovePrefetch
-				c.Prefetch = prefetch.Config{Mode: prefetch.ModeDelayed, MaxAdvance: 4 * sim.Second}
-			},
-		})
-	if err != nil {
-		return res, err
-	}
+	series, _, err := memorySweep(f, []variant{
+		{"global-lru", func(c *core.Config) {
+			c.Sched = rt34()
+			c.Replacement = bufferpool.PolicyGlobalLRU
+		}},
+		{"love-prefetch", func(c *core.Config) {
+			c.Sched = rt34()
+			c.Replacement = bufferpool.PolicyLovePrefetch
+		}},
+		{"love+delayed(8s)", func(c *core.Config) {
+			c.Sched = rt34()
+			c.Replacement = bufferpool.PolicyLovePrefetch
+			c.Prefetch = prefetch.Config{Mode: prefetch.ModeDelayed, MaxAdvance: 8 * sim.Second}
+		}},
+		{"love+delayed(4s)", func(c *core.Config) {
+			c.Sched = rt34()
+			c.Replacement = bufferpool.PolicyLovePrefetch
+			c.Prefetch = prefetch.Config{Mode: prefetch.ModeDelayed, MaxAdvance: 4 * sim.Second}
+		}},
+	})
 	res.Series = series
-	return res, nil
+	return res, err
+}
+
+// atMax plots, for every sweep series, y of each point's first passing
+// run at the maximum (0 where the search found none).
+func atMax(series []Series, rs [][]core.SearchResult, y func(core.Metrics) float64) []Series {
+	out := make([]Series, len(series))
+	for vi, s := range series {
+		out[vi].Name = s.Name
+		for i, r := range rs[vi] {
+			v := 0.0
+			if len(r.AtMax) > 0 {
+				v = y(r.AtMax[0])
+			}
+			out[vi].Points = append(out[vi].Points, Point{X: s.Points[i].X, Y: v})
+		}
+	}
+	return out
 }
 
 // Fig13And14Striping reproduces Figures 13 and 14: max terminals (13)
@@ -263,43 +197,24 @@ func Fig13And14Striping(f Fidelity) (Result, Result, error) {
 		XLabel: "server memory (MB)",
 		YLabel: "avg disk utilization (%)",
 	}
-	variants := []struct {
-		name    string
-		striped bool
-		zipf    float64
-	}{
-		{"striped/zipf", true, 1.0},
-		{"striped/uniform", true, 0},
-		{"non-striped/zipf", false, 1.0},
-		{"non-striped/uniform", false, 0},
-	}
-	names := make([]string, len(variants))
-	mutates := make([]func(*core.Config), len(variants))
-	for i, v := range variants {
-		v := v
-		names[i] = v.name
-		mutates[i] = func(c *core.Config) {
+	layout := func(striped bool, zipf float64) func(*core.Config) {
+		return func(c *core.Config) {
 			c.Replacement = bufferpool.PolicyLovePrefetch
-			c.Striped = v.striped
-			c.ZipfZ = v.zipf
+			c.Striped = striped
+			c.ZipfZ = zipf
 		}
 	}
-	series, results, err := variantSweep(f, names, mutates)
+	series, results, err := memorySweep(f, []variant{
+		{"striped/zipf", layout(true, 1.0)},
+		{"striped/uniform", layout(true, 0)},
+		{"non-striped/zipf", layout(false, 1.0)},
+		{"non-striped/uniform", layout(false, 0)},
+	})
 	if err != nil {
 		return fig13, fig14, err
 	}
-	for vi, s := range series {
-		fig13.Series = append(fig13.Series, s)
-		util := Series{Name: s.Name}
-		for i, r := range results[vi] {
-			u := 0.0
-			if len(r.AtMax) > 0 {
-				u = r.AtMax[0].DiskUtilAvg * 100
-			}
-			util.Points = append(util.Points, Point{X: s.Points[i].X, Y: u})
-		}
-		fig14.Series = append(fig14.Series, util)
-	}
+	fig13.Series = series
+	fig14.Series = atMax(series, results, func(m core.Metrics) float64 { return m.DiskUtilAvg * 100 })
 	return fig13, fig14, nil
 }
 
@@ -320,36 +235,23 @@ func Fig15And16AccessFrequencies(f Fidelity) (Result, Result, error) {
 		XLabel: "server memory (MB)",
 		YLabel: "shared references (%)",
 	}
-	zs := []float64{0, 0.5, 1.0, 1.5}
-	names := make([]string, len(zs))
-	mutates := make([]func(*core.Config), len(zs))
-	for i, z := range zs {
-		z := z
-		names[i] = fmt.Sprintf("z=%.1f", z)
+	var vs []variant
+	for _, z := range []float64{0, 0.5, 1.0, 1.5} {
+		name := fmt.Sprintf("z=%.1f", z)
 		if z == 0 {
-			names[i] = "uniform"
+			name = "uniform"
 		}
-		mutates[i] = func(c *core.Config) {
+		vs = append(vs, variant{name, func(c *core.Config) {
 			c.Replacement = bufferpool.PolicyLovePrefetch
 			c.ZipfZ = z
-		}
+		}})
 	}
-	series, results, err := variantSweep(f, names, mutates)
+	series, results, err := memorySweep(f, vs)
 	if err != nil {
 		return fig15, fig16, err
 	}
-	for vi, s := range series {
-		fig15.Series = append(fig15.Series, s)
-		shared := Series{Name: s.Name}
-		for i, r := range results[vi] {
-			v := 0.0
-			if len(r.AtMax) > 0 {
-				v = r.AtMax[0].Pool.SharedFraction() * 100
-			}
-			shared.Points = append(shared.Points, Point{X: s.Points[i].X, Y: v})
-		}
-		fig16.Series = append(fig16.Series, shared)
-	}
+	fig15.Series = series
+	fig16.Series = atMax(series, results, func(m core.Metrics) float64 { return m.Pool.SharedFraction() * 100 })
 	return fig15, fig16, nil
 }
 
@@ -369,20 +271,15 @@ func Fig19Pause(f Fidelity) (Result, error) {
 	if f.VideoLength < 30*sim.Minute {
 		pauseDur = f.VideoLength / 30
 	}
-	series, _, err := variantSweep(f,
-		[]string{"no pauses", "with pauses"},
-		[]func(*core.Config){
-			func(c *core.Config) { c.Replacement = bufferpool.PolicyLovePrefetch },
-			func(c *core.Config) {
-				c.Replacement = bufferpool.PolicyLovePrefetch
-				c.Pause = &terminal.PauseConfig{MeanPauses: 2, MeanDuration: pauseDur}
-			},
-		})
-	if err != nil {
-		return res, err
-	}
+	series, _, err := memorySweep(f, []variant{
+		{"no pauses", func(c *core.Config) { c.Replacement = bufferpool.PolicyLovePrefetch }},
+		{"with pauses", func(c *core.Config) {
+			c.Replacement = bufferpool.PolicyLovePrefetch
+			c.Pause = &terminal.PauseConfig{MeanPauses: 2, MeanDuration: pauseDur}
+		}},
+	})
 	res.Series = series
-	return res, nil
+	return res, err
 }
 
 // Piggyback reproduces the §8.2 claim: delaying video starts to batch
@@ -400,10 +297,8 @@ func Piggyback(f Fidelity) (Result, error) {
 	if f.VideoLength < 60*sim.Minute {
 		delay = f.VideoLength / 12
 	}
-	f = f.withPool()
 	delays := []sim.Duration{0, delay}
-	maxes := make([]int, len(delays))
-	err := fanout(len(delays), func(i int) error {
+	maxes, err := grid(f, 1, len(delays), func(f Fidelity, _, i int) (int, error) {
 		d := delays[i]
 		cfg := base()
 		cfg.Replacement = bufferpool.PolicyLovePrefetch
@@ -416,17 +311,16 @@ func Piggyback(f Fidelity) (Result, error) {
 		}
 		r, err := f.search(cfg, 0, hi)
 		if err != nil {
-			return fmt.Errorf("delay=%v: %w", d, err)
+			return 0, fmt.Errorf("delay=%v: %w", d, err)
 		}
-		maxes[i] = r.MaxTerminals
-		return nil
+		return r.MaxTerminals, nil
 	})
 	if err != nil {
 		return res, err
 	}
 	s := Series{Name: "max terminals"}
 	for i, d := range delays {
-		s.Points = append(s.Points, Point{X: d.Seconds(), Y: float64(maxes[i])})
+		s.Points = append(s.Points, Point{X: d.Seconds(), Y: float64(maxes[0][i])})
 	}
 	res.Series = append(res.Series, s)
 	if len(s.Points) == 2 && s.Points[0].Y > 0 {

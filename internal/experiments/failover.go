@@ -46,6 +46,7 @@ func Failover(f Fidelity) (Result, error) {
 
 	// The fault-free mirrored capacity anchors the admission limit; the
 	// run is offered 80% of it.
+	f = f.withPool()
 	capCfg := base()
 	shape(&capCfg)
 	capCfg.ReplicateVideos = true
@@ -64,10 +65,7 @@ func Failover(f Fidelity) (Result, error) {
 	crashAt := sim.Time(0).Add(f.StartWindow).Add(f.MeasureTime / 4)
 	restarts := []sim.Duration{0, f.MeasureTime / 4, f.MeasureTime / 2}
 
-	variants := []struct {
-		name  string
-		apply func(*core.Config)
-	}{
+	variants := []variant{
 		{"cross-node + failover", func(c *core.Config) {
 			c.MirrorCrossNode = true
 			c.Failover = true
@@ -83,13 +81,7 @@ func Failover(f Fidelity) (Result, error) {
 		}},
 	}
 
-	type cell struct {
-		m   core.Metrics
-		err error
-	}
-	cells := make([]cell, len(variants)*len(restarts))
-	err = fanout(len(cells), func(i int) error {
-		v, ri := variants[i/len(restarts)], i%len(restarts)
+	ms, err := grid(f, len(variants), len(restarts), func(f Fidelity, vi, ri int) (core.Metrics, error) {
 		cfg := f.apply(base())
 		shape(&cfg)
 		cfg.Terminals = offered
@@ -98,14 +90,10 @@ func Failover(f Fidelity) (Result, error) {
 		cfg.Overload.Adaptive = true
 		cfg.Overload.Shed = true
 		cfg.Overload.RebuildRate = 16 * core.MB
-		v.apply(&cfg)
-		s, err := core.NewSimulation(cfg)
-		if err != nil {
-			return err
-		}
-		s.ScheduleNodeCrash(1, crashAt, restarts[ri])
-		cells[i].m, cells[i].err = s.Run()
-		return cells[i].err
+		variants[vi].apply(&cfg)
+		return f.run.RunScript(cfg, func(s *core.Simulation) {
+			s.ScheduleNodeCrash(1, crashAt, restarts[ri])
+		})
 	})
 	if err != nil {
 		return res, err
@@ -114,7 +102,7 @@ func Failover(f Fidelity) (Result, error) {
 	for vi, v := range variants {
 		s := Series{Name: v.name}
 		for ri, restart := range restarts {
-			m := cells[vi*len(restarts)+ri].m
+			m := ms[vi][ri]
 			recovered := 100.0
 			if m.SessionsImpacted > 0 {
 				recovered = 100 * float64(m.SessionsRecovered) / float64(m.SessionsImpacted)

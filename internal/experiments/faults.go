@@ -28,48 +28,54 @@ func Faults(f Fidelity) (Result, error) {
 	}
 	rates := []float64{0, 0.5, 1, 2}
 	const repair = 30 * sim.Second
-	variants := []struct {
-		name   string
-		mirror bool
-	}{
-		{"no-replica", false},
-		{"mirrored", true},
+	vs := []variant{
+		{"no-replica", func(c *core.Config) {}},
+		{"mirrored", func(c *core.Config) { c.ReplicateVideos = true }},
 	}
-	for _, v := range variants {
-		s := Series{Name: v.name}
-		baseline := 0
-		for _, rate := range rates {
-			cfg := base()
-			cfg.ReplicateVideos = v.mirror
-			cfg.Faults.DiskFailRate = rate
-			cfg.Faults.DiskRepairTime = repair
-			r, err := f.search(cfg, 0, 0)
-			if err != nil {
-				return res, fmt.Errorf("%s rate=%.1f: %w", v.name, rate, err)
-			}
-			s.Points = append(s.Points, Point{X: rate, Y: float64(r.MaxTerminals)})
-			if rate == 0 {
-				baseline = r.MaxTerminals
-				continue
-			}
-			if baseline == 0 {
-				continue
-			}
-			// Probe the degraded accounting at the fault-free maximum.
-			probe := f.apply(cfg)
-			probe.Terminals = baseline
-			m, err := core.Run(probe)
-			if err != nil {
-				return res, fmt.Errorf("%s rate=%.1f probe: %w", v.name, rate, err)
-			}
-			res.Notes = append(res.Notes, fmt.Sprintf(
-				"%s rate=%.1f probe@%d: glitches underrun/diskfail/timeout = %d/%d/%d, nacks=%d retries=%d timeouts=%d lost=%d, failstops=%d, mttr avg/max = %v/%v",
-				v.name, rate, baseline,
-				m.GlitchesUnderrun, m.GlitchesDiskFail, m.GlitchesTimeout,
-				m.Nacks, m.Retries, m.Timeouts, m.LostBlocks,
-				m.DiskFailStops, m.MTTRAvg, m.MTTRMax))
+	point := func(i int) core.Config {
+		cfg := base()
+		cfg.Faults.DiskFailRate = rates[i]
+		cfg.Faults.DiskRepairTime = repair
+		return cfg
+	}
+	f = f.withPool()
+	series, rs, err := sweep(f, vs, rates, point)
+	if err != nil {
+		return res, err
+	}
+	res.Series = series
+
+	// Probe each faulty cell's degraded accounting at its layout's
+	// fault-free maximum (rates[0] is fault-free).
+	notes, err := grid(f, len(vs), len(rates), func(f Fidelity, v, i int) (string, error) {
+		baseline := rs[v][0].MaxTerminals
+		if rates[i] == 0 || baseline == 0 {
+			return "", nil
 		}
-		res.Series = append(res.Series, s)
+		probe := point(i)
+		vs[v].apply(&probe)
+		probe = f.apply(probe)
+		probe.Terminals = baseline
+		m, err := f.run.Run(probe)
+		if err != nil {
+			return "", fmt.Errorf("%s rate=%.1f probe: %w", vs[v].name, rates[i], err)
+		}
+		return fmt.Sprintf(
+			"%s rate=%.1f probe@%d: glitches underrun/diskfail/timeout = %d/%d/%d, nacks=%d retries=%d timeouts=%d lost=%d, failstops=%d, mttr avg/max = %v/%v",
+			vs[v].name, rates[i], baseline,
+			m.GlitchesUnderrun, m.GlitchesDiskFail, m.GlitchesTimeout,
+			m.Nacks, m.Retries, m.Timeouts, m.LostBlocks,
+			m.DiskFailStops, m.MTTRAvg, m.MTTRMax), nil
+	})
+	if err != nil {
+		return res, err
+	}
+	for _, row := range notes {
+		for _, n := range row {
+			if n != "" {
+				res.Notes = append(res.Notes, n)
+			}
+		}
 	}
 	return res, nil
 }

@@ -14,7 +14,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"spiffi/internal/core"
 	"spiffi/internal/sim"
@@ -41,9 +40,10 @@ type Fidelity struct {
 	ScaleFactors []int
 
 	// Workers bounds how many simulations run concurrently across the
-	// whole experiment (sweep points, search probes, seed replications
-	// all share the bound); <= 0 selects GOMAXPROCS. Results are
-	// bit-identical whatever the value — see core.Runner.
+	// whole experiment: sweep cells, search probes and seed replications
+	// all share the bound, so Workers 1 runs one simulation at a time
+	// and exactly the sequential run set. <= 0 selects GOMAXPROCS.
+	// Results are bit-identical whatever the value — see core.Runner.
 	Workers int
 
 	// Trace enables structured event tracing (internal/trace) on every
@@ -58,32 +58,24 @@ type Fidelity struct {
 	// (label, data) pairs is bit-identical for every worker count. The
 	// label ("max<terminals>-seed<seed>") is deterministic but not
 	// globally unique across a multi-point sweep; sinks that file traces
-	// should key on the label and tolerate concurrent calls (sweep points
-	// fan out, so delivery order — not content — varies between runs).
+	// should key on the label and tolerate concurrent calls (grid cells
+	// run concurrently, so delivery order — not content — varies
+	// between runs).
 	TraceSink func(label string, d *trace.Data)
 
-	// run is the shared worker pool, created lazily by withPool so one
-	// experiment's nested fan-out shares a single concurrency bound.
+	// run is the shared worker pool, created by withPool so every
+	// simulation of one experiment shares a single concurrency bound.
 	run *core.Runner
 }
 
-// withPool returns f with its worker pool materialized. Every exported
-// harness calls it on entry; interior helpers (memSweep, search) then
-// find the pool already set and share it.
+// withPool returns f with its worker pool materialized. Run and grid
+// call it, as does every exported harness that simulates outside a
+// grid, so nothing an experiment runs escapes the one pool.
 func (f Fidelity) withPool() Fidelity {
 	if f.run == nil {
 		f.run = core.NewRunner(f.Workers)
 	}
 	return f
-}
-
-// pool returns the fidelity's worker pool, creating a fresh one if the
-// harness was somehow entered without withPool.
-func (f Fidelity) pool() *core.Runner {
-	if f.run == nil {
-		return core.NewRunner(f.Workers)
-	}
-	return f.run
 }
 
 // Bench is the smallest fidelity, sized so that one experiment fits in a
@@ -159,7 +151,7 @@ func (f Fidelity) apply(cfg core.Config) core.Config {
 // search runs the max-terminal search at this fidelity on the shared
 // worker pool, delivering the consumed at-max traces to TraceSink.
 func (f Fidelity) search(cfg core.Config, hintLo, hintHi int) (core.SearchResult, error) {
-	r, err := f.pool().FindMaxTerminals(f.apply(cfg), core.SearchOptions{
+	r, err := f.run.FindMaxTerminals(f.apply(cfg), core.SearchOptions{
 		Lo: hintLo, Hi: hintHi, Step: f.Step, Seeds: f.Seeds,
 	})
 	if err == nil && f.TraceSink != nil {
@@ -170,27 +162,4 @@ func (f Fidelity) search(cfg core.Config, hintLo, hintHi int) (core.SearchResult
 		}
 	}
 	return r, err
-}
-
-// fanout runs n independent jobs concurrently, collecting results by
-// index. The worker pool bounds actual simulation concurrency, so these
-// goroutines are cheap coordinators; on failure the first error in index
-// order is returned, matching what a sequential loop would report.
-func fanout(n int, job func(i int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = job(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

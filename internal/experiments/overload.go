@@ -36,6 +36,7 @@ func Overload(f Fidelity) (Result, error) {
 
 	// The fault-free mirrored capacity anchors both the admission limit
 	// and the offered load (25% above it, so admission always matters).
+	f = f.withPool()
 	capCfg := base()
 	capCfg.ReplicateVideos = true
 	r, err := f.search(capCfg, 0, 0)
@@ -49,10 +50,7 @@ func Overload(f Fidelity) (Result, error) {
 
 	rates := []float64{0, 1, 2}
 	const repair = 30 * sim.Second
-	variants := []struct {
-		name  string
-		apply func(*core.Config)
-	}{
+	variants := []variant{
 		// ProtectedFraction alone is pure accounting: it defines which
 		// terminals GlitchesProtected counts, arming nothing, so all
 		// three variants report over the same protected set.
@@ -71,27 +69,22 @@ func Overload(f Fidelity) (Result, error) {
 		}},
 	}
 
-	// One flat batch in deterministic index order; the pool fans it out.
-	var cfgs []core.Config
-	for _, v := range variants {
-		for _, rate := range rates {
-			cfg := f.apply(base())
-			cfg.Terminals = offered
-			cfg.ReplicateVideos = true
-			cfg.Faults.DiskFailRate = rate
-			cfg.Faults.DiskRepairTime = repair
-			v.apply(&cfg)
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	ms, err := f.pool().RunMany(cfgs)
+	ms, err := grid(f, len(variants), len(rates), func(f Fidelity, vi, ri int) (core.Metrics, error) {
+		cfg := f.apply(base())
+		cfg.Terminals = offered
+		cfg.ReplicateVideos = true
+		cfg.Faults.DiskFailRate = rates[ri]
+		cfg.Faults.DiskRepairTime = repair
+		variants[vi].apply(&cfg)
+		return f.run.Run(cfg)
+	})
 	if err != nil {
 		return res, err
 	}
 	for vi, v := range variants {
 		s := Series{Name: v.name}
 		for ri, rate := range rates {
-			m := ms[vi*len(rates)+ri]
+			m := ms[vi][ri]
 			s.Points = append(s.Points, Point{X: rate, Y: float64(m.GlitchesProtected)})
 			res.Notes = append(res.Notes, fmt.Sprintf(
 				"%s rate=%.0f: protected glitches %d (all %d), admitted=%d waited=%d rejected=%d, limit min %d, sheds=%d restores=%d peak=%d, degraded blocks=%d, rebuilt=%d stalenacks=%d",

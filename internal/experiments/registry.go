@@ -99,7 +99,7 @@ func Run(id string, f Fidelity) ([]Result, error) {
 	results, err := r(f)
 	elapsed := time.Since(start)
 	for i := range results {
-		results[i].Workers = f.pool().Workers()
+		results[i].Workers = f.run.Workers()
 		results[i].WallClock = elapsed
 	}
 	return results, err

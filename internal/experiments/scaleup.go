@@ -69,30 +69,29 @@ type ScaleupData struct {
 // RunScaleup executes the §7.6 scaleup experiment for every Table 2
 // configuration and scale factor.
 func RunScaleup(f Fidelity) (*ScaleupData, error) {
-	f = f.withPool()
 	factors := f.ScaleFactors
 	if len(factors) == 0 {
 		factors = []int{1, 2, 4}
 	}
 	configs := table2Configs()
+	rs, err := grid(f, len(configs), len(factors), func(f Fidelity, c, i int) (core.SearchResult, error) {
+		r, err := f.search(configs[c].configAtScale(factors[i]), 0, 0)
+		if err != nil {
+			err = fmt.Errorf("%s x%d: %w", configs[c].name, factors[i], err)
+		}
+		return r, err
+	})
+	if err != nil {
+		return nil, err
+	}
 	data := &ScaleupData{Fidelity: f, Factors: factors}
-	data.Max = make([][]int, len(configs))
-	data.CPUUtil = make([][]float64, len(configs))
-	data.PeakNetMBs = make([][]float64, len(configs))
-	data.DiskUtil = make([][]float64, len(configs))
-	err := fanout(len(configs), func(c int) error {
-		sc := configs[c]
-		data.Max[c] = make([]int, len(factors))
-		data.CPUUtil[c] = make([]float64, len(factors))
-		data.PeakNetMBs[c] = make([]float64, len(factors))
-		data.DiskUtil[c] = make([]float64, len(factors))
-		return fanout(len(factors), func(i int) error {
-			factor := factors[i]
-			cfg := sc.configAtScale(factor)
-			r, err := f.search(cfg, 0, 0)
-			if err != nil {
-				return fmt.Errorf("%s x%d: %w", sc.name, factor, err)
-			}
+	for c, sc := range configs {
+		data.Configs = append(data.Configs, sc.name)
+		data.Max = append(data.Max, make([]int, len(factors)))
+		data.CPUUtil = append(data.CPUUtil, make([]float64, len(factors)))
+		data.PeakNetMBs = append(data.PeakNetMBs, make([]float64, len(factors)))
+		data.DiskUtil = append(data.DiskUtil, make([]float64, len(factors)))
+		for i, r := range rs[c] {
 			data.Max[c][i] = r.MaxTerminals
 			if len(r.AtMax) > 0 {
 				m := r.AtMax[0]
@@ -100,14 +99,7 @@ func RunScaleup(f Fidelity) (*ScaleupData, error) {
 				data.PeakNetMBs[c][i] = m.PeakNetBandwidth / 1e6
 				data.DiskUtil[c][i] = m.DiskUtilAvg * 100
 			}
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, sc := range configs {
-		data.Configs = append(data.Configs, sc.name)
+		}
 	}
 	return data, nil
 }

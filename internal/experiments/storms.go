@@ -43,13 +43,14 @@ func Storms(f Fidelity) (Result, error) {
 	// terminal count of the same short-session system, viewers thinking
 	// between movies. The premiere then arrives against a system already
 	// offered 25% more than this.
+	f = f.withPool()
 	capCfg := stormsBase(f)
 	var err error
 	capCfg.Workload, err = workload.ParseSpec("think=20s; steady:*")
 	if err != nil {
 		return res, err
 	}
-	r, err := f.pool().FindMaxTerminals(capCfg, core.SearchOptions{
+	r, err := f.run.FindMaxTerminals(capCfg, core.SearchOptions{
 		Lo: 40, Hi: 400, Step: f.Step, Seeds: f.Seeds,
 	})
 	if err != nil {
@@ -97,21 +98,18 @@ func Storms(f Fidelity) (Result, error) {
 		}},
 	}
 
-	// One flat batch in deterministic index order; the pool fans it out.
-	var cfgs []core.Config
-	for _, v := range variants {
+	ms, err := grid(f, 1, len(variants), func(f Fidelity, _, vi int) (core.Metrics, error) {
 		cfg := stormsBase(f)
 		cfg.Terminals = offered
-		cfg.Workload = v.wl
-		v.apply(&cfg)
-		cfgs = append(cfgs, cfg)
-	}
-	ms, err := f.pool().RunMany(cfgs)
+		cfg.Workload = variants[vi].wl
+		variants[vi].apply(&cfg)
+		return f.run.Run(cfg)
+	})
 	if err != nil {
 		return res, err
 	}
 	for vi, v := range variants {
-		m := ms[vi]
+		m := ms[0][vi]
 		s := Series{Name: v.name}
 		for _, ps := range m.PhaseStats {
 			s.Points = append(s.Points, Point{X: float64(ps.Index), Y: v.y(ps)})
