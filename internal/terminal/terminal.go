@@ -161,7 +161,6 @@ type Stats struct {
 	MoviesStarted   int64
 	MoviesCompleted int64
 	BlocksReceived  int64
-	BytesReceived   int64
 	RespTimeSum     sim.Duration // request round-trip accumulation
 	RespTimeMax     sim.Duration
 	Primes          int64 // priming cycles (starts + glitch recoveries)
@@ -495,7 +494,6 @@ func (t *Terminal) applyMerged(video, block int, size int64) {
 		return
 	}
 	t.stats.BlocksReceived++
-	t.stats.BytesReceived += size
 	t.admit(block, size)
 	t.rec.TermBuffer(t.id, t.BufferedBytes(), t.outstanding, t.frontierBlocks)
 	t.wakeOnArrival()
@@ -1057,7 +1055,6 @@ func (t *Terminal) applyArrival(req *proto.BlockRequest) {
 	}
 	t.outstanding -= req.Size
 	t.stats.BlocksReceived++
-	t.stats.BytesReceived += req.Size
 	rt := t.k.Now().Sub(req.Issued)
 	t.stats.RespTimeSum += rt
 	if rt > t.stats.RespTimeMax && t.measuring() {
