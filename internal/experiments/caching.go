@@ -50,7 +50,6 @@ func Caching(f Fidelity) (Result, error) {
 	}
 	skews := []float64{0.5, 1.0, 1.5}
 
-	f = f.withPool()
 	ms, err := grid(f, len(variants), len(skews), func(f Fidelity, vi, zi int) (core.Metrics, error) {
 		cfg := cachingBase()
 		cfg.Trace = f.Trace

@@ -38,7 +38,6 @@ func Faults(f Fidelity) (Result, error) {
 		cfg.Faults.DiskRepairTime = repair
 		return cfg
 	}
-	f = f.withPool()
 	series, rs, err := sweep(f, vs, rates, point)
 	if err != nil {
 		return res, err

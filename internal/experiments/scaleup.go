@@ -55,9 +55,8 @@ func (sc scaleConfig) configAtScale(factor int) core.Config {
 // ScaleupData carries the raw scaleup measurements shared by Table 2,
 // Figure 17, Figure 18 and Table 3.
 type ScaleupData struct {
-	Fidelity Fidelity
-	Configs  []string
-	Factors  []int
+	Configs []string
+	Factors []int
 	// Max[c][i] is config c's max terminals at Factors[i].
 	Max [][]int
 	// CPUUtil[c][i] and PeakNetMBs[c][i] come from the passing runs.
@@ -84,7 +83,7 @@ func RunScaleup(f Fidelity) (*ScaleupData, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := &ScaleupData{Fidelity: f, Factors: factors}
+	data := &ScaleupData{Factors: factors}
 	for c, sc := range configs {
 		data.Configs = append(data.Configs, sc.name)
 		data.Max = append(data.Max, make([]int, len(factors)))
