@@ -67,7 +67,7 @@ func TestGridByCellAndFirstErrorInCellOrder(t *testing.T) {
 		}
 		return 0, nil
 	})
-	if err != early {
+	if !errors.Is(err, early) {
 		t.Fatalf("grid returned %v, want the earlier cell's %v", err, early)
 	}
 	if n := ran.Load(); n != 4 {
