@@ -2,7 +2,8 @@
 # (and pre-commit discipline) runs: build, vet, a gofmt check, the full
 # test suite, a race-detector pass in short mode, and the benchmark's
 # short tests. The simulation-heavy experiment tests skip themselves
-# under -short, but the parallel-runner coverage (core search parity and
+# under -short, but the parallel-runner coverage (core search parity,
+# the 1-worker Runner-bound check, the experiments' run-grid test and
 # the fig09 worker-determinism check) does not, so the race pass always
 # exercises multi-worker execution.
 
