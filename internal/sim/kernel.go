@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 )
 
 // Action is the work a calendar entry does: Fire runs in kernel context
@@ -85,12 +86,17 @@ func (k *Kernel) After(d Duration, fn func()) { k.At(k.now.Add(d), fn) }
 // Run dispatches events in (time, seq) order until the calendar is empty
 // or the next event lies beyond `until`, whichever comes first, then sets
 // the clock to `until`. Events exactly at `until` are dispatched. It
-// returns an error if a process panicked, a wake reached a process that
-// had returned, or MaxEvents was exceeded.
-func (k *Kernel) Run(until Time) error {
+// returns an error if a process or a kernel-context Action panicked, a
+// wake reached a process that had returned, or MaxEvents was exceeded.
+func (k *Kernel) Run(until Time) (err error) {
 	if k.closed {
 		return errors.New("sim: kernel is closed")
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sim: event panic at t=%v: %v\n%s", k.now, r, debug.Stack())
+		}
+	}()
 	for len(k.heap) > 0 {
 		if k.heap[0].t > until {
 			break
