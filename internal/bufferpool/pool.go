@@ -69,7 +69,7 @@ type Pool struct {
 	free     int
 	table    map[PageID]*Page
 	policy   Policy
-	waiters  sim.Queue // processes waiting for a frame
+	waiters  sim.Queue // processes and continuations waiting for a frame
 	stats    Stats
 
 	// spare holds evicted pages for insertNew to reuse, so a miss in a
@@ -125,6 +125,32 @@ func (b *Pool) Contains(id PageID) bool {
 // exactly the paper's low-memory stall regime.
 func (b *Pool) Acquire(p *sim.Proc, id PageID, terminal int, prefetch bool) (*Page, Outcome) {
 	for {
+		if pg, out := b.acquire(id, terminal, prefetch); pg != nil {
+			return pg, out
+		}
+		b.stats.AllocWaits++
+		b.waiters.Wait(p)
+		// Re-check everything: the world changed while we slept.
+	}
+}
+
+// TryAcquire is Acquire for a continuation a. When no frame can be had
+// it queues a on the frame waiters, in FIFO order with blocked Acquire
+// callers, and reports ok=false; a fires when a frame may have come free
+// and calls TryAcquire again.
+func (b *Pool) TryAcquire(a sim.Action, id PageID, terminal int, prefetch bool) (pg *Page, out Outcome, ok bool) {
+	if pg, out = b.acquire(id, terminal, prefetch); pg != nil {
+		return pg, out, true
+	}
+	b.stats.AllocWaits++
+	b.waiters.Add(b.k, a)
+	return nil, out, false
+}
+
+// acquire pins the page for id, evicting a victim if it must, or returns
+// a nil page when every frame is pinned or in flight.
+func (b *Pool) acquire(id PageID, terminal int, prefetch bool) (*Page, Outcome) {
+	for {
 		if pg, ok := b.table[id]; ok {
 			return b.acquireResident(pg, terminal, prefetch)
 		}
@@ -132,13 +158,11 @@ func (b *Pool) Acquire(p *sim.Proc, id PageID, terminal int, prefetch bool) (*Pa
 			b.free--
 			return b.insertNew(id, terminal, prefetch), MustFetch
 		}
-		if v := b.policy.Victim(); v != nil {
-			b.evict(v)
-			continue
+		v := b.policy.Victim()
+		if v == nil {
+			return nil, MustFetch
 		}
-		b.stats.AllocWaits++
-		b.waiters.Wait(p)
-		// Re-check everything: the world changed while we slept.
+		b.evict(v)
 	}
 }
 
@@ -252,7 +276,7 @@ func (b *Pool) Unpin(pg *Page) {
 	}
 }
 
-// wakeWaiter unblocks the oldest process waiting for a frame, if any.
+// wakeWaiter unblocks the oldest waiter for a frame, if any.
 func (b *Pool) wakeWaiter() { b.waiters.Signal() }
 
 // Stats returns a copy of the counters.

@@ -1,6 +1,7 @@
 package bufferpool
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -399,5 +400,78 @@ func TestPolicyKindFactory(t *testing.T) {
 	}
 	if _, ok := PolicyLovePrefetch.New().(*LovePrefetch); !ok {
 		t.Fatal("love prefetch factory")
+	}
+}
+
+// frameTaker is a continuation that takes a frame with TryAcquire,
+// fetches, and unpins hold later, logging when it got the frame.
+type frameTaker struct {
+	b    *Pool
+	k    *sim.Kernel
+	id   PageID
+	pg   *Page
+	hold sim.Duration
+	log  *[]string
+	at   *[]sim.Time
+}
+
+func (f *frameTaker) Fire() {
+	if f.pg != nil { // the hold is over
+		f.b.Unpin(f.pg)
+		return
+	}
+	pg, out, ok := f.b.TryAcquire(f, f.id, 0, false)
+	if !ok {
+		return // queued: a freed frame fires f again
+	}
+	if out != MustFetch {
+		panic("frameTaker: want MustFetch")
+	}
+	f.pg = pg
+	*f.log, *f.at = append(*f.log, "continuation"), append(*f.at, f.k.Now())
+	f.b.FetchComplete(pg)
+	f.k.Schedule(f.k.Now().Add(f.hold), f)
+}
+
+// A continuation queued by TryAcquire waits for a frame in FIFO order
+// with processes parked in Acquire: each freed frame goes to the oldest
+// waiter of either kind, at the instant it is unpinned.
+func TestTryAcquireFIFOWithParkedAcquire(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	b := New(k, 1, NewGlobalLRU())
+	var log []string
+	var at []sim.Time
+	take := func(name string, block int, start sim.Time) {
+		k.SpawnAt(start, name, func(p *sim.Proc) {
+			pg, out := b.Acquire(p, PageID{Block: block}, 0, false)
+			if out != MustFetch {
+				t.Errorf("%s: outcome %v, want MustFetch", name, out)
+			}
+			log, at = append(log, name), append(at, p.Now())
+			b.FetchComplete(pg)
+			p.Sleep(10)
+			b.Unpin(pg)
+		})
+	}
+	take("first", 0, 0) // holds the only frame over [0, 10)
+	take("proc-1", 1, 1)
+	c := &frameTaker{b: b, k: k, id: PageID{Block: 2}, hold: 10, log: &log, at: &at}
+	k.At(2, func() {
+		if _, _, ok := b.TryAcquire(c, c.id, 0, false); ok {
+			t.Error("TryAcquire took a frame from a full pool")
+		}
+	})
+	take("proc-2", 3, 3)
+	if err := k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	wantLog := []string{"first", "proc-1", "continuation", "proc-2"}
+	wantAt := []sim.Time{0, 10, 20, 30}
+	if !slices.Equal(log, wantLog) || !slices.Equal(at, wantAt) {
+		t.Fatalf("frames went to %v at %v, want %v at %v", log, at, wantLog, wantAt)
+	}
+	if s := b.Stats(); s.AllocWaits != 3 || s.Evictions != 3 {
+		t.Fatalf("alloc waits %d, evictions %d, want 3 and 3", s.AllocWaits, s.Evictions)
 	}
 }

@@ -30,8 +30,8 @@ func TestSendReceiveCosts(t *testing.T) {
 	c := New(k, 0, 40, DefaultCosts())
 	var doneAt sim.Time
 	k.Spawn("w", func(p *sim.Proc) {
-		c.Send(p)    // 6800/40e6 = 170 µs
-		c.Receive(p) // 2200/40e6 = 55 µs
+		c.Execute(p, c.costs.Send) // 6800/40e6 = 170 µs
+		c.Receive(p)               // 2200/40e6 = 55 µs
 		doneAt = p.Now()
 	})
 	if err := k.RunAll(); err != nil {

@@ -7,7 +7,8 @@
 // Demand flow: receive (CPU cost) → buffer pool acquire → on miss,
 // start-I/O (CPU cost) and a scheduled disk read → reply (CPU send cost,
 // wire delay). Every demand reference also enqueues a prefetch for the
-// video's next stripe block on the same disk (§5.2.3).
+// video's next stripe block on the same disk (§5.2.3). Each request runs
+// through that flow as a continuation (job), not as a process.
 package server
 
 import (
@@ -87,7 +88,7 @@ type Node struct {
 
 	// Crash state: while down the node silently drops incoming requests
 	// and suppresses outgoing replies — terminals discover the outage only
-	// through timeouts, exactly like a real fail-stop machine. Handlers
+	// through timeouts, exactly like a real fail-stop machine. Jobs
 	// already in flight keep running internally but produce no output.
 	down      bool
 	restartAt sim.Time
@@ -98,12 +99,7 @@ type Node struct {
 	// the overload controller's rejoin warm-up).
 	restartHook func(downtime sim.Duration)
 
-	// idle holds the node's handler processes parked between requests,
-	// oldest first; handed holds the requests given to woken handlers,
-	// in the order they were woken, so each takes the one it was woken
-	// for. A request spawns a handler only when none is idle.
-	idle   sim.Queue
-	handed []*proto.BlockRequest
+	jobs []*job // idle jobs; a request allocates one only when none is idle
 
 	rec *trace.Recorder // nil unless tracing is enabled
 
@@ -121,10 +117,10 @@ type Node struct {
 	stats Stats
 }
 
-// diskCtx is a process's disk-read context: the request it submits and
-// the event the completion fires. A handler or prefetch worker reuses one
-// for all its reads, since every Submit completes exactly once and the
-// process waits for that before reading again.
+// diskCtx is a disk-read context: the request it submits and the event
+// the completion fires. A job or prefetch worker reuses one for all its
+// reads, since every Submit completes exactly once and its owner waits
+// for that before reading again.
 type diskCtx struct {
 	req  dsched.Request
 	id   bufferpool.PageID
@@ -139,13 +135,6 @@ func (c *diskCtx) arm(id bufferpool.PageID, r dsched.Request) *dsched.Request {
 	r.Data = c
 	c.req = r
 	return &c.req
-}
-
-// handler is one of a node's pooled request-handler processes.
-type handler struct {
-	n    *Node
-	req  *proto.BlockRequest // the request being handled
-	disk diskCtx
 }
 
 // New builds a node with its CPU, buffer pool, disks and prefetch
@@ -223,11 +212,9 @@ func (n *Node) SetRestartHook(fn func(downtime sim.Duration)) { n.restartHook = 
 func (n *Node) SetCache(c *cache.Cache) { n.cache = c }
 
 // DeliverRequest accepts a block request off the network (kernel
-// context) and hands it to the node's oldest idle handler process,
-// spawning a handler only when none is idle. Either way the handler
-// starts on the request with one calendar event scheduled now. A crashed
-// node drops the request on the floor — the terminal's timeout is the
-// only signal.
+// context) and schedules an idle job, or a new one when none is idle, to
+// start on it now. A crashed node drops the request on the floor — the
+// terminal's timeout is the only signal.
 func (n *Node) DeliverRequest(req *proto.BlockRequest) {
 	if n.down {
 		n.stats.Dropped++
@@ -235,109 +222,192 @@ func (n *Node) DeliverRequest(req *proto.BlockRequest) {
 		n.rec.NodeDrop(req.Terminal, n.id, false, n.stats.Dropped)
 		return
 	}
-	if n.idle.Signal() {
-		n.handed = append(n.handed, req)
-		return
+	var j *job
+	if last := len(n.jobs) - 1; last >= 0 {
+		j, n.jobs = n.jobs[last], n.jobs[:last]
+	} else {
+		j = &job{n: n}
 	}
-	h := &handler{n: n, req: req}
-	n.k.Spawn("handler", h.run)
+	j.req, j.stage = req, stageReceive
+	n.k.Schedule(n.k.Now(), j)
 }
 
-// run handles requests one after another, parking between them.
-func (h *handler) run(p *sim.Proc) {
-	n := h.n
-	for {
-		n.handle(p, h)
-		n.idle.Wait(p)
-		h.req = n.handed[0]
-		k := copy(n.handed, n.handed[1:])
-		n.handed[k] = nil
-		n.handed = n.handed[:k]
+// stage is the step of the demand flow a job runs when it next fires.
+type stage uint8
+
+const (
+	stageReceive  stage = iota // charge the receive cost
+	stageLookup                // route the request; cache, dead-disk and stale checks
+	stageAcquire               // take a pool frame (again, after a frame wait)
+	stageSubmit                // start-I/O charged: submit the disk read
+	stageRead                  // the disk read completed
+	stageInFlight              // the fetch this request piggybacked on completed
+	stageServe                 // data ready: trigger the prefetch, charge the send
+	stageReply                 // send charged: reply and finish
+	stageGrant                 // the CPU is handed over: run the burst
+	stageBurst                 // the burst is over: release the CPU, go on to next
+)
+
+// job serves one demand request at a time. Each Fire runs stages until
+// one waits for the CPU, a frame, the disk or a fetch in flight; the
+// wait's end schedules the job where a blocked process would resume.
+type job struct {
+	n     *Node
+	req   *proto.BlockRequest
+	pg    *bufferpool.Page // the pinned frame; nil on a cache hit or a NACK
+	id    bufferpool.PageID
+	addr  layout.Address
+	bytes int64 // the reply's wire size
+	stage stage
+	next  stage        // the stage after the CPU burst
+	burst sim.Duration // the CPU burst charged before next
+	disk  diskCtx
+}
+
+// Fire runs the job's stages until one waits.
+func (j *job) Fire() {
+	for j.step() {
 	}
 }
 
-// handle services one demand request.
-func (n *Node) handle(p *sim.Proc, h *handler) {
-	req := h.req
-	n.cpu.Receive(p)
-	n.stats.Requests++
-	id := bufferpool.PageID{Video: req.Video, Block: req.Block}
-	addr := n.place.LocateCopy(req.Video, req.Block, req.Copy)
-	if addr.Node != n.id {
-		panic("server: misrouted block request")
-	}
-	if n.cache != nil && req.Copy == 0 && n.cache.Lookup(req.Video, req.Block) {
-		// Prefix-cache hit: served straight from cache memory — no pool
-		// frame, no disk I/O, and no prefetch trigger (the pool's
-		// prefetch chain starts when the stream reaches uncached blocks).
-		// Like buffered data, cached data is served even off a dead disk.
-		n.cpu.Send(p)
-		n.reply(req, req.Size+proto.ReplyHeaderBytes)
-		return
-	}
-	if n.disks[addr.Disk].Failed() && !n.pool.Contains(id) {
-		// The copy's disk is dead and the data is not buffered: NACK
-		// immediately so the terminal can fail over without waiting for
-		// a timeout. (Buffered data is still served off a dead disk.)
-		n.nack(p, req)
-		return
-	}
-	if n.stale != nil && !n.pool.Contains(id) && n.stale(req.Video, req.Block, req.Copy) {
-		// The copy's disk repaired but this block has not been rebuilt
-		// from its mirror yet: its on-disk data is garbage. NACK so the
-		// terminal fails over to the healthy copy.
-		n.stats.StaleNacks++
-		n.nack(p, req)
-		return
-	}
-
-	pg, out := n.pool.Acquire(p, id, req.Terminal, false)
-	ok := true
-	switch out {
-	case bufferpool.MustFetch:
-		ok = n.readBlock(p, &h.disk, pg, addr, req.Deadline, req.Terminal, false)
-	case bufferpool.InFlight:
-		// A prefetch (or another terminal's fetch) is already on its
-		// way; tighten its queued deadline to the real one (§5.2.3).
-		if dr, found := n.inflight[id]; found && req.Deadline < dr.Deadline {
-			dr.Deadline = req.Deadline
-			n.stats.DeadlineUps++
+// step runs the job's current stage and reports whether the next one can
+// run at once (false: the job waits, or is done and idle again).
+func (j *job) step() bool {
+	n, req := j.n, j.req
+	switch j.stage {
+	case stageGrant:
+		j.hold()
+		return false
+	case stageBurst:
+		n.cpu.Release()
+		j.stage = j.next
+		return true
+	case stageReceive:
+		return j.charge(n.cfg.CPUCosts.Receive, stageLookup)
+	case stageLookup:
+		n.stats.Requests++
+		j.id = bufferpool.PageID{Video: req.Video, Block: req.Block}
+		j.addr = n.place.LocateCopy(req.Video, req.Block, req.Copy)
+		if j.addr.Node != n.id {
+			panic("server: misrouted block request")
 		}
-		pg.Ready.Wait(p)
-		ok = pg.Valid() // false: the fetch we piggybacked on failed
-	case bufferpool.Hit:
-		// Data already buffered.
+		switch {
+		case n.cache != nil && req.Copy == 0 && n.cache.Lookup(req.Video, req.Block):
+			// Prefix-cache hit: served straight from cache memory — no
+			// pool frame, no disk I/O, and no prefetch trigger (the pool's
+			// prefetch chain starts when the stream reaches uncached
+			// blocks). Like buffered data, cached data is served even off
+			// a dead disk.
+			return j.send(req.Size + proto.ReplyHeaderBytes)
+		case n.disks[j.addr.Disk].Failed() && !n.pool.Contains(j.id):
+			// The copy's disk is dead and the data is not buffered: NACK
+			// immediately so the terminal can fail over without waiting
+			// for a timeout. (Buffered data is still served off a dead
+			// disk.)
+			return j.nack()
+		case n.stale != nil && !n.pool.Contains(j.id) && n.stale(req.Video, req.Block, req.Copy):
+			// The copy's disk repaired but this block has not been
+			// rebuilt from its mirror yet: its on-disk data is garbage.
+			// NACK so the terminal fails over to the healthy copy.
+			n.stats.StaleNacks++
+			return j.nack()
+		}
+		fallthrough
+	case stageAcquire:
+		pg, out, ok := n.pool.TryAcquire(j, j.id, req.Terminal, false)
+		if !ok {
+			j.stage = stageAcquire
+			return false
+		}
+		j.pg = pg
+		switch out {
+		case bufferpool.MustFetch:
+			return j.charge(n.cfg.CPUCosts.StartIO, stageSubmit)
+		case bufferpool.InFlight:
+			// A prefetch (or another terminal's fetch) is already on its
+			// way; tighten its queued deadline to the real one (§5.2.3).
+			if dr, found := n.inflight[j.id]; found && req.Deadline < dr.Deadline {
+				dr.Deadline = req.Deadline
+				n.stats.DeadlineUps++
+			}
+			j.stage = stageInFlight
+			return pg.Ready.Then(n.k, j)
+		}
+		j.stage = stageServe // a hit: the data is already buffered
+		return true
+	case stageSubmit:
+		n.submitRead(&j.disk, j.pg, j.addr, req.Deadline, req.Terminal, false)
+		j.stage = stageRead
+		return j.disk.done.Then(n.k, j)
+	case stageRead:
+		n.finishRead(&j.disk, j.pg)
+		fallthrough
+	case stageInFlight:
+		if !j.pg.Valid() {
+			// The read, or the fetch this request piggybacked on, died
+			// with its disk.
+			n.pool.Unpin(j.pg) // no-op on the defunct page; kept for symmetry
+			j.pg = nil
+			return j.nack()
+		}
+		fallthrough
+	case stageServe:
+		// Every real reference triggers a prefetch of the video's next
+		// stripe block on this same disk (§5.2.3). Replica reads don't:
+		// the prefetch chain follows the primary placement.
+		if req.Copy == 0 {
+			n.triggerPrefetch(req, j.addr)
+		}
+		return j.send(req.Size + proto.ReplyHeaderBytes)
 	}
-	if !ok {
-		n.pool.Unpin(pg) // no-op on the defunct page; kept for symmetry
-		n.nack(p, req)
-		return
+	// stageReply
+	n.reply(req, j.bytes)
+	if j.pg != nil {
+		if n.cache != nil && req.Copy == 0 {
+			// Fetch-through: prefix blocks enter the cache as they are
+			// served, so the next viewer of this video starts from memory.
+			n.cache.Insert(req.Video, req.Block, req.Size)
+		}
+		n.pool.Unpin(j.pg)
 	}
+	j.req, j.pg = nil, nil
+	n.jobs = append(n.jobs, j)
+	return false
+}
 
-	// Every real reference triggers a prefetch of the video's next
-	// stripe block on this same disk (§5.2.3). Replica reads don't: the
-	// prefetch chain follows the primary placement.
-	if req.Copy == 0 {
-		n.triggerPrefetch(req, addr)
+// charge runs a CPU burst of instrs instructions and then stage next,
+// queueing FCFS with every other burst as cpu.Execute does. It reports
+// true, to run next at once, only when there is nothing to charge.
+func (j *job) charge(instrs int64, next stage) bool {
+	j.stage = next
+	if instrs <= 0 {
+		return true
 	}
+	j.stage, j.next, j.burst = stageGrant, next, j.n.cpu.Time(instrs)
+	if j.n.cpu.Acquire(j) {
+		j.hold()
+	}
+	return false
+}
 
-	n.cpu.Send(p)
-	n.reply(req, req.Size+proto.ReplyHeaderBytes)
-	if n.cache != nil && req.Copy == 0 {
-		// Fetch-through: prefix blocks enter the cache as they are
-		// served, so the next viewer of this video starts from memory.
-		n.cache.Insert(req.Video, req.Block, req.Size)
-	}
-	n.pool.Unpin(pg)
+// hold runs the burst on the CPU the job now holds.
+func (j *job) hold() {
+	j.stage = stageBurst
+	j.n.k.Schedule(j.n.k.Now().Add(j.burst), j)
+}
+
+// send charges the send cost of a reply of the given wire size.
+func (j *job) send(bytes int64) bool {
+	j.bytes = bytes
+	return j.charge(j.n.cfg.CPUCosts.Send, stageReply)
 }
 
 // nack answers a request whose data cannot be read (dead disk) with a
 // header-only negative acknowledgement.
-func (n *Node) nack(p *sim.Proc, req *proto.BlockRequest) {
-	n.stats.Nacks++
-	req.Status = proto.StatusNackDiskFailed
-	n.cpu.Send(p)
-	n.reply(req, proto.NackBytes)
+func (j *job) nack() bool {
+	j.n.stats.Nacks++
+	j.req.Status = proto.StatusNackDiskFailed
+	return j.send(proto.NackBytes)
 }
 
 // reply ships a response unless the node is down (a crashed machine sends
@@ -354,10 +424,18 @@ func (n *Node) reply(req *proto.BlockRequest, bytes int64) {
 
 // readBlock performs a disk read for an acquired MustFetch page through
 // the calling process's disk context and marks the page valid, or — when
-// the disk fail-stops before delivering — aborts the fetch and reports
-// false. Caller keeps the pin either way.
-func (n *Node) readBlock(p *sim.Proc, ctx *diskCtx, pg *bufferpool.Page, addr layout.Address, deadline sim.Time, term int, isPrefetch bool) bool {
+// the disk fail-stops before delivering — aborts the fetch. Caller keeps
+// the pin either way.
+func (n *Node) readBlock(p *sim.Proc, ctx *diskCtx, pg *bufferpool.Page, addr layout.Address, deadline sim.Time, term int, isPrefetch bool) {
 	n.cpu.StartIO(p)
+	n.submitRead(ctx, pg, addr, deadline, term, isPrefetch)
+	ctx.done.Wait(p)
+	n.finishRead(ctx, pg)
+}
+
+// submitRead submits the disk read of MustFetch page pg through ctx and
+// records it in flight, so a demand arrival can tighten its deadline.
+func (n *Node) submitRead(ctx *diskCtx, pg *bufferpool.Page, addr layout.Address, deadline sim.Time, term int, isPrefetch bool) {
 	dr := ctx.arm(pg.ID, dsched.Request{
 		Offset:   addr.Offset,
 		Size:     addr.Size,
@@ -367,13 +445,16 @@ func (n *Node) readBlock(p *sim.Proc, ctx *diskCtx, pg *bufferpool.Page, addr la
 	})
 	n.inflight[pg.ID] = dr
 	n.disks[addr.Disk].Submit(dr)
-	ctx.done.Wait(p)
-	if dr.Failed {
+}
+
+// finishRead marks pg valid once ctx's read has completed, or aborts the
+// fetch when the disk fail-stopped first.
+func (n *Node) finishRead(ctx *diskCtx, pg *bufferpool.Page) {
+	if ctx.req.Failed {
 		n.pool.FetchFailed(pg)
-		return false
+	} else {
+		n.pool.FetchComplete(pg)
 	}
-	n.pool.FetchComplete(pg)
-	return true
 }
 
 // Crash fail-stops the whole node: every local disk fails (abandoning its

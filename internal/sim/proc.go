@@ -100,16 +100,13 @@ func (c *coro) run() (ok bool) {
 }
 
 // park suspends p until the event a wake scheduled for it is dispatched.
-// Only SleepUntil and Queue.Wait call it, each after scheduling or
-// registering exactly one wake.
+// Only SleepUntil, Queue.Wait, Event.Wait and Facility.Use call it, each
+// after scheduling or registering exactly one wake.
 func (p *Proc) park() {
 	if !p.co.yield(struct{}{}) {
 		panic(errKilled)
 	}
 }
-
-// wake schedules p to resume at the current simulated time.
-func (p *Proc) wake() { p.k.Schedule(p.k.now, p) }
 
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.k.now }

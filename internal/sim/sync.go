@@ -1,48 +1,56 @@
 package sim
 
-// Queue is a FIFO of parked processes: a process Waits on it until
-// another party Signals it. It is the one way code outside this package
-// parks and wakes processes, so each wake reaches exactly the process
-// that waited for it. The zero value is an empty queue.
+// Queue is a FIFO of waiters: a parked process Waits on it, or a
+// continuation is Added to it, until another party Signals it. It is the
+// one way code outside this package parks and wakes processes, so each
+// wake reaches exactly the waiter that queued for it. The zero value is
+// an empty queue.
 type Queue struct {
-	procs []*Proc
+	k       *Kernel
+	waiters []Action
+}
+
+// Add queues a at the back of the queue: a Signal or Broadcast that
+// reaches it schedules a on k at the current simulated time.
+func (q *Queue) Add(k *Kernel, a Action) {
+	q.k = k
+	q.waiters = append(q.waiters, a)
 }
 
 // Wait parks p at the back of the queue until a Signal or Broadcast
 // reaches it.
 func (q *Queue) Wait(p *Proc) {
-	q.procs = append(q.procs, p)
+	q.Add(p.k, p)
 	p.park()
 }
 
-// Signal schedules the oldest waiter to resume at the current simulated
-// time and reports whether there was one. It may be called from kernel
-// context or from a process.
+// Signal schedules the oldest waiter at the current simulated time and
+// reports whether there was one. It may be called from kernel context or
+// from a process.
 func (q *Queue) Signal() bool {
-	if len(q.procs) == 0 {
+	if len(q.waiters) == 0 {
 		return false
 	}
-	p := q.procs[0]
-	copy(q.procs, q.procs[1:])
-	q.procs[len(q.procs)-1] = nil
-	q.procs = q.procs[:len(q.procs)-1]
-	p.wake()
+	a := q.waiters[0]
+	n := copy(q.waiters, q.waiters[1:])
+	q.waiters[n] = nil
+	q.waiters = q.waiters[:n]
+	q.k.Schedule(q.k.now, a)
 	return true
 }
 
-// Broadcast schedules every waiter to resume, in arrival order. The queue
-// keeps its backing array, so a reused queue's later Waits allocate
-// nothing.
+// Broadcast schedules every waiter, in arrival order. The queue keeps its
+// backing array, so a reused queue's later Waits allocate nothing.
 func (q *Queue) Broadcast() {
-	for _, p := range q.procs {
-		p.wake()
+	for _, a := range q.waiters {
+		q.k.Schedule(q.k.now, a)
 	}
-	clear(q.procs)
-	q.procs = q.procs[:0]
+	clear(q.waiters)
+	q.waiters = q.waiters[:0]
 }
 
-// Len reports the number of waiting processes.
-func (q *Queue) Len() int { return len(q.procs) }
+// Len reports the number of waiters.
+func (q *Queue) Len() int { return len(q.waiters) }
 
 // Mailbox is an unbounded FIFO message queue. Senders never block;
 // receivers block until a message is available. Messages are delivered
@@ -94,8 +102,9 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 // Len reports the number of queued (undelivered) messages.
 func (m *Mailbox[T]) Len() int { return len(m.items) - m.head }
 
-// Event is a one-shot completion: processes Wait until someone Fires it.
-// Waits after the fire return immediately. It models request/reply
+// Event is a one-shot completion: processes Wait, and continuations wait
+// through Then, until someone Fires it. Waits after the fire return
+// immediately. It models request/reply
 // rendezvous (e.g. a terminal waiting for a block to arrive). The zero
 // value is an unfired event.
 type Event struct {
@@ -120,9 +129,18 @@ func (e *Event) Fire() {
 // its next completion. The event must have no waiters: Fire released them.
 func (e *Event) Reset() { e.fired = false }
 
+// Then reports true if the event has fired. Otherwise it queues a, to be
+// scheduled on k when the event fires, and reports false.
+func (e *Event) Then(k *Kernel, a Action) bool {
+	if !e.fired {
+		e.waiters.Add(k, a)
+	}
+	return e.fired
+}
+
 // Wait blocks the calling process until the event fires.
 func (e *Event) Wait(p *Proc) {
-	if !e.fired {
-		e.waiters.Wait(p)
+	if !e.Then(p.k, p) {
+		p.park()
 	}
 }
