@@ -3,9 +3,9 @@
 // (video, block), and pluggable page replacement — the basic global LRU
 // algorithm and the paper's "love prefetch" two-chain algorithm that
 // favors prefetched-but-unreferenced pages over already-referenced ones.
-// Processes and continuations that need a frame when none is evictable
-// wait until one is unpinned (the paper's "server began to run out of
-// free pages" regime).
+// Continuations that need a frame when none is evictable wait until one
+// is unpinned (the paper's "server began to run out of free pages"
+// regime).
 package bufferpool
 
 import (

@@ -42,7 +42,7 @@ type Stats struct {
 	SharedRefs   int64 // demand refs to a page previously referenced by another terminal (Fig 16)
 	PrefetchSkip int64 // prefetches dropped because the page was resident
 	Evictions    int64
-	AllocWaits   int64 // times an acquire blocked waiting for a frame
+	AllocWaits   int64 // times an acquire queued waiting for a frame
 	FetchFails   int64 // fetches aborted because the disk fail-stopped
 }
 
@@ -69,7 +69,7 @@ type Pool struct {
 	free     int
 	table    map[PageID]*Page
 	policy   Policy
-	waiters  sim.Queue // processes and continuations waiting for a frame
+	waiters  sim.Queue // continuations waiting for a frame
 	stats    Stats
 
 	// spare holds evicted pages for insertNew to reuse, so a miss in a
@@ -121,30 +121,17 @@ func (b *Pool) Contains(id PageID) bool {
 // (prefetch=true). The returned page is pinned; the caller must Unpin it
 // when done (for MustFetch, typically after FetchComplete and any reply).
 //
-// Acquire blocks while every frame is pinned or in flight, which is
-// exactly the paper's low-memory stall regime.
-func (b *Pool) Acquire(p *sim.Proc, id PageID, terminal int, prefetch bool) (*Page, Outcome) {
-	for {
-		if pg, out := b.acquire(id, terminal, prefetch); pg != nil {
-			return pg, out
-		}
+// While every frame is pinned or in flight, which is exactly the paper's
+// low-memory stall regime, Acquire returns a nil page and queues a on the
+// frame waiters in FIFO order; a fires when a frame may have come free
+// and calls Acquire again.
+func (b *Pool) Acquire(a sim.Action, id PageID, terminal int, prefetch bool) (*Page, Outcome) {
+	pg, out := b.acquire(id, terminal, prefetch)
+	if pg == nil {
 		b.stats.AllocWaits++
-		b.waiters.Wait(p)
-		// Re-check everything: the world changed while we slept.
+		b.waiters.Add(b.k, a)
 	}
-}
-
-// TryAcquire is Acquire for a continuation a. When no frame can be had
-// it queues a on the frame waiters, in FIFO order with blocked Acquire
-// callers, and reports ok=false; a fires when a frame may have come free
-// and calls TryAcquire again.
-func (b *Pool) TryAcquire(a sim.Action, id PageID, terminal int, prefetch bool) (pg *Page, out Outcome, ok bool) {
-	if pg, out = b.acquire(id, terminal, prefetch); pg != nil {
-		return pg, out, true
-	}
-	b.stats.AllocWaits++
-	b.waiters.Add(b.k, a)
-	return nil, out, false
+	return pg, out
 }
 
 // acquire pins the page for id, evicting a victim if it must, or returns
@@ -232,8 +219,8 @@ func (b *Pool) evict(pg *Page) {
 	b.spare = append(b.spare, pg)
 }
 
-// FetchComplete marks the page's data as arrived and wakes processes
-// waiting on Page.Ready. The caller still holds its pin.
+// FetchComplete marks the page's data as arrived and wakes whatever
+// waits on Page.Ready. The caller still holds its pin.
 func (b *Pool) FetchComplete(pg *Page) {
 	if pg.state != stateFetching || pg.defunct {
 		panic("bufferpool: FetchComplete on non-fetching page")
@@ -257,7 +244,7 @@ func (b *Pool) FetchFailed(pg *Page) {
 	delete(b.table, pg.ID)
 	b.free++
 	b.stats.FetchFails++
-	b.wakeWaiter()
+	b.waiters.Signal()
 	pg.Ready.Fire()
 }
 
@@ -272,12 +259,9 @@ func (b *Pool) Unpin(pg *Page) {
 	}
 	pg.pin--
 	if pg.evictable() {
-		b.wakeWaiter()
+		b.waiters.Signal()
 	}
 }
-
-// wakeWaiter unblocks the oldest waiter for a frame, if any.
-func (b *Pool) wakeWaiter() { b.waiters.Signal() }
 
 // Stats returns a copy of the counters.
 func (b *Pool) Stats() Stats { return b.stats }

@@ -20,13 +20,25 @@ func runInProc(t *testing.T, fn func(p *sim.Proc)) {
 	}
 }
 
+// acquire is Acquire for a test process: while no frame can be had, the
+// process waits until the pool fires the continuation Acquire queued.
+func acquire(p *sim.Proc, b *Pool, id PageID, terminal int, prefetch bool) (*Page, Outcome) {
+	for {
+		var freed sim.Event
+		if pg, out := b.Acquire(sim.Func(freed.Fire), id, terminal, prefetch); pg != nil {
+			return pg, out
+		}
+		freed.Wait(p)
+	}
+}
+
 func TestAcquireMissFetchHit(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	b := New(k, 4, NewGlobalLRU())
 	k.Spawn("t", func(p *sim.Proc) {
 		id := PageID{Video: 1, Block: 7}
-		pg, out := b.Acquire(p, id, 0, false)
+		pg, out := acquire(p, b, id, 0, false)
 		if out != MustFetch {
 			t.Errorf("first acquire = %v, want MustFetch", out)
 		}
@@ -36,7 +48,7 @@ func TestAcquireMissFetchHit(t *testing.T) {
 		b.FetchComplete(pg)
 		b.Unpin(pg)
 
-		pg2, out2 := b.Acquire(p, id, 0, false)
+		pg2, out2 := acquire(p, b, id, 0, false)
 		if out2 != Hit {
 			t.Errorf("second acquire = %v, want Hit", out2)
 		}
@@ -61,7 +73,7 @@ func TestInFlightSecondRequesterWaits(t *testing.T) {
 	id := PageID{Video: 0, Block: 0}
 	var order []string
 	k.Spawn("fetcher", func(p *sim.Proc) {
-		pg, out := b.Acquire(p, id, 0, false)
+		pg, out := acquire(p, b, id, 0, false)
 		if out != MustFetch {
 			t.Errorf("out = %v", out)
 		}
@@ -71,7 +83,7 @@ func TestInFlightSecondRequesterWaits(t *testing.T) {
 		b.Unpin(pg)
 	})
 	k.SpawnAt(10, "waiter", func(p *sim.Proc) {
-		pg, out := b.Acquire(p, id, 1, false)
+		pg, out := acquire(p, b, id, 1, false)
 		if out != InFlight {
 			t.Errorf("out = %v, want InFlight", out)
 		}
@@ -97,7 +109,7 @@ func TestInFlightSecondRequesterWaits(t *testing.T) {
 func fill(p *sim.Proc, b *Pool, n int) []*Page {
 	pages := make([]*Page, n)
 	for i := 0; i < n; i++ {
-		pg, out := b.Acquire(p, PageID{Video: 9, Block: i}, 0, false)
+		pg, out := acquire(p, b, PageID{Video: 9, Block: i}, 0, false)
 		if out != MustFetch {
 			panic("fill expected MustFetch")
 		}
@@ -115,10 +127,10 @@ func TestGlobalLRUEvictsOldest(t *testing.T) {
 	k.Spawn("t", func(p *sim.Proc) {
 		fill(p, b, 3)
 		// Touch block 0 so block 1 is now LRU.
-		pg, _ := b.Acquire(p, PageID{Video: 9, Block: 0}, 0, false)
+		pg, _ := acquire(p, b, PageID{Video: 9, Block: 0}, 0, false)
 		b.Unpin(pg)
 		// Insert a new page: block 1 must be evicted.
-		npg, out := b.Acquire(p, PageID{Video: 9, Block: 99}, 0, false)
+		npg, out := acquire(p, b, PageID{Video: 9, Block: 99}, 0, false)
 		if out != MustFetch {
 			t.Errorf("out = %v", out)
 		}
@@ -142,13 +154,13 @@ func TestPinnedPagesNotEvicted(t *testing.T) {
 	b := New(k, 2, NewGlobalLRU())
 	k.Spawn("t", func(p *sim.Proc) {
 		// Pin one page, leave the other unpinned.
-		pinned, _ := b.Acquire(p, PageID{Block: 1}, 0, false)
+		pinned, _ := acquire(p, b, PageID{Block: 1}, 0, false)
 		b.FetchComplete(pinned)
-		loose, _ := b.Acquire(p, PageID{Block: 2}, 0, false)
+		loose, _ := acquire(p, b, PageID{Block: 2}, 0, false)
 		b.FetchComplete(loose)
 		b.Unpin(loose)
 		// Next allocation must evict the unpinned page, not the pinned.
-		pg, _ := b.Acquire(p, PageID{Block: 3}, 0, false)
+		pg, _ := acquire(p, b, PageID{Block: 3}, 0, false)
 		b.FetchComplete(pg)
 		b.Unpin(pg)
 		if !b.Contains(PageID{Block: 1}) {
@@ -172,12 +184,12 @@ func TestLovePrefetchProtectsPrefetchedPages(t *testing.T) {
 	k.Spawn("t", func(p *sim.Proc) {
 		// Two prefetched pages (older) and two referenced pages (newer).
 		for i := 0; i < 2; i++ {
-			pg, _ := b.Acquire(p, PageID{Video: 1, Block: i}, -1, true)
+			pg, _ := acquire(p, b, PageID{Video: 1, Block: i}, -1, true)
 			b.FetchComplete(pg)
 			b.Unpin(pg)
 		}
 		for i := 0; i < 2; i++ {
-			pg, _ := b.Acquire(p, PageID{Video: 2, Block: i}, 0, false)
+			pg, _ := acquire(p, b, PageID{Video: 2, Block: i}, 0, false)
 			b.FetchComplete(pg)
 			b.Unpin(pg)
 		}
@@ -186,7 +198,7 @@ func TestLovePrefetchProtectsPrefetchedPages(t *testing.T) {
 		}
 		// New allocation: a referenced page must be sacrificed even though
 		// prefetched pages are older (global LRU would take those).
-		pg, _ := b.Acquire(p, PageID{Video: 3, Block: 0}, 0, false)
+		pg, _ := acquire(p, b, PageID{Video: 3, Block: 0}, 0, false)
 		b.FetchComplete(pg)
 		b.Unpin(pg)
 		if !b.Contains(PageID{Video: 1, Block: 0}) || !b.Contains(PageID{Video: 1, Block: 1}) {
@@ -207,13 +219,13 @@ func TestLovePrefetchReferenceMovesChains(t *testing.T) {
 	love := NewLovePrefetch()
 	b := New(k, 4, love)
 	k.Spawn("t", func(p *sim.Proc) {
-		pg, _ := b.Acquire(p, PageID{Block: 5}, -1, true) // prefetch in
+		pg, _ := acquire(p, b, PageID{Block: 5}, -1, true) // prefetch in
 		b.FetchComplete(pg)
 		b.Unpin(pg)
 		if !pg.Prefetched() {
 			t.Error("page should start on prefetched chain")
 		}
-		pg2, out := b.Acquire(p, PageID{Block: 5}, 3, false) // demand ref
+		pg2, out := acquire(p, b, PageID{Block: 5}, 3, false) // demand ref
 		if out != Hit || pg2 != pg {
 			t.Errorf("out=%v", out)
 		}
@@ -236,12 +248,12 @@ func TestLovePrefetchFallsBackToPrefetchedChain(t *testing.T) {
 	b := New(k, 2, NewLovePrefetch())
 	k.Spawn("t", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
-			pg, _ := b.Acquire(p, PageID{Block: i}, -1, true)
+			pg, _ := acquire(p, b, PageID{Block: i}, -1, true)
 			b.FetchComplete(pg)
 			b.Unpin(pg)
 		}
 		// No referenced pages exist; must evict from prefetched chain.
-		pg, out := b.Acquire(p, PageID{Block: 9}, 0, false)
+		pg, out := acquire(p, b, PageID{Block: 9}, 0, false)
 		if out != MustFetch {
 			t.Errorf("out = %v", out)
 		}
@@ -263,7 +275,7 @@ func TestAcquireBlocksUntilUnpin(t *testing.T) {
 	var got sim.Time = -1
 	var hold *Page
 	k.Spawn("holder", func(p *sim.Proc) {
-		pg, _ := b.Acquire(p, PageID{Block: 1}, 0, false)
+		pg, _ := acquire(p, b, PageID{Block: 1}, 0, false)
 		b.FetchComplete(pg)
 		hold = pg
 		// Keep the only frame pinned until t=500.
@@ -271,7 +283,7 @@ func TestAcquireBlocksUntilUnpin(t *testing.T) {
 		b.Unpin(hold)
 	})
 	k.SpawnAt(10, "blocked", func(p *sim.Proc) {
-		pg, out := b.Acquire(p, PageID{Block: 2}, 1, false)
+		pg, out := acquire(p, b, PageID{Block: 2}, 1, false)
 		got = p.Now()
 		if out != MustFetch {
 			t.Errorf("out = %v", out)
@@ -296,14 +308,14 @@ func TestSharingStatsFigure16(t *testing.T) {
 	b := New(k, 8, NewGlobalLRU())
 	k.Spawn("t", func(p *sim.Proc) {
 		id := PageID{Video: 4, Block: 2}
-		pg, _ := b.Acquire(p, id, 0, false) // terminal 0 references
+		pg, _ := acquire(p, b, id, 0, false) // terminal 0 references
 		b.FetchComplete(pg)
 		b.Unpin(pg)
-		pg, _ = b.Acquire(p, id, 0, false) // same terminal again: not shared
+		pg, _ = acquire(p, b, id, 0, false) // same terminal again: not shared
 		b.Unpin(pg)
-		pg, _ = b.Acquire(p, id, 1, false) // another terminal: shared
+		pg, _ = acquire(p, b, id, 1, false) // another terminal: shared
 		b.Unpin(pg)
-		pg, _ = b.Acquire(p, id, 2, false) // a third: shared
+		pg, _ = acquire(p, b, id, 2, false) // a third: shared
 		b.Unpin(pg)
 	})
 	if err := k.RunAll(); err != nil {
@@ -327,10 +339,10 @@ func TestPrefetchSkipsResidentPage(t *testing.T) {
 	b := New(k, 4, NewLovePrefetch())
 	k.Spawn("t", func(p *sim.Proc) {
 		id := PageID{Block: 3}
-		pg, _ := b.Acquire(p, id, 0, false)
+		pg, _ := acquire(p, b, id, 0, false)
 		b.FetchComplete(pg)
 		b.Unpin(pg)
-		_, out := b.Acquire(p, id, -1, true)
+		_, out := acquire(p, b, id, -1, true)
 		if out != Hit {
 			t.Errorf("prefetch of resident page = %v, want Hit", out)
 		}
@@ -370,7 +382,7 @@ func TestFrameConservationProperty(t *testing.T) {
 					b.Unpin(pinned[0])
 					pinned = pinned[1:]
 				}
-				pg, out := b.Acquire(p, id, int(op%5), op%7 == 0)
+				pg, out := acquire(p, b, id, int(op%5), op%7 == 0)
 				if out == MustFetch {
 					b.FetchComplete(pg)
 				}
@@ -403,11 +415,12 @@ func TestPolicyKindFactory(t *testing.T) {
 	}
 }
 
-// frameTaker is a continuation that takes a frame with TryAcquire,
-// fetches, and unpins hold later, logging when it got the frame.
+// frameTaker is a continuation that takes a frame with Acquire, fetches,
+// and unpins hold later, logging when it got the frame.
 type frameTaker struct {
 	b    *Pool
 	k    *sim.Kernel
+	name string
 	id   PageID
 	pg   *Page
 	hold sim.Duration
@@ -420,53 +433,38 @@ func (f *frameTaker) Fire() {
 		f.b.Unpin(f.pg)
 		return
 	}
-	pg, out, ok := f.b.TryAcquire(f, f.id, 0, false)
-	if !ok {
+	pg, out := f.b.Acquire(f, f.id, 0, false)
+	if pg == nil {
 		return // queued: a freed frame fires f again
 	}
 	if out != MustFetch {
 		panic("frameTaker: want MustFetch")
 	}
 	f.pg = pg
-	*f.log, *f.at = append(*f.log, "continuation"), append(*f.at, f.k.Now())
+	*f.log, *f.at = append(*f.log, f.name), append(*f.at, f.k.Now())
 	f.b.FetchComplete(pg)
 	f.k.Schedule(f.k.Now().Add(f.hold), f)
 }
 
-// A continuation queued by TryAcquire waits for a frame in FIFO order
-// with processes parked in Acquire: each freed frame goes to the oldest
-// waiter of either kind, at the instant it is unpinned.
-func TestTryAcquireFIFOWithParkedAcquire(t *testing.T) {
+// Continuations queued by Acquire on a full pool wait for a frame in
+// FIFO order: each freed frame goes to the oldest waiter, at the instant
+// it is unpinned.
+func TestAcquireQueuesContinuationsFIFO(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	b := New(k, 1, NewGlobalLRU())
 	var log []string
 	var at []sim.Time
-	take := func(name string, block int, start sim.Time) {
-		k.SpawnAt(start, name, func(p *sim.Proc) {
-			pg, out := b.Acquire(p, PageID{Block: block}, 0, false)
-			if out != MustFetch {
-				t.Errorf("%s: outcome %v, want MustFetch", name, out)
-			}
-			log, at = append(log, name), append(at, p.Now())
-			b.FetchComplete(pg)
-			p.Sleep(10)
-			b.Unpin(pg)
-		})
+	for i, name := range []string{"first", "second", "third", "fourth"} {
+		// first holds the only frame over [0, 10); the others queue at
+		// 1, 2 and 3 and each hold it for 10 in turn.
+		k.Schedule(sim.Time(i), &frameTaker{b: b, k: k, name: name, id: PageID{Block: i},
+			hold: 10, log: &log, at: &at})
 	}
-	take("first", 0, 0) // holds the only frame over [0, 10)
-	take("proc-1", 1, 1)
-	c := &frameTaker{b: b, k: k, id: PageID{Block: 2}, hold: 10, log: &log, at: &at}
-	k.At(2, func() {
-		if _, _, ok := b.TryAcquire(c, c.id, 0, false); ok {
-			t.Error("TryAcquire took a frame from a full pool")
-		}
-	})
-	take("proc-2", 3, 3)
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	wantLog := []string{"first", "proc-1", "continuation", "proc-2"}
+	wantLog := []string{"first", "second", "third", "fourth"}
 	wantAt := []sim.Time{0, 10, 20, 30}
 	if !slices.Equal(log, wantLog) || !slices.Equal(at, wantAt) {
 		t.Fatalf("frames went to %v at %v, want %v at %v", log, at, wantLog, wantAt)

@@ -288,7 +288,7 @@ func TestMetricsGolden(t *testing.T) {
 var unfoldedAllowed = map[string]string{
 	"Nodes.DroppedReplies": "needs a node to crash while serving a demand request it accepted; the golden crash catches none in service",
 	"Pool.AllocWaits":      "needs every frame pinned at once; the golden pools always hold an unpinned victim",
-	"Pool.PrefetchSkip":    "cannot fire: the server checks Pool.Contains before every prefetch Acquire",
+	"Pool.PrefetchSkip":    "fires only when a prefetch worker waits for a frame and its block arrives meanwhile; no golden pool makes anyone wait (see Pool.AllocWaits)",
 }
 
 // A component counter that Simulation.Run forgets to fold into Metrics

@@ -62,9 +62,6 @@ func (c *CPU) Acquire(a sim.Action) bool { return c.fac.Acquire(a) }
 // Release ends the holder's burst and hands the CPU to the oldest waiter.
 func (c *CPU) Release() { c.fac.Release() }
 
-// StartIO charges the I/O initiation cost.
-func (c *CPU) StartIO(p *sim.Proc) { c.Execute(p, c.costs.StartIO) }
-
 // Receive charges the message receive cost.
 func (c *CPU) Receive(p *sim.Proc) { c.Execute(p, c.costs.Receive) }
 

@@ -13,14 +13,14 @@ func TestInstructionTiming(t *testing.T) {
 	c := New(k, 0, 40, DefaultCosts())
 	var doneAt sim.Time
 	k.Spawn("w", func(p *sim.Proc) {
-		c.StartIO(p) // 20000 instrs at 40 MIPS = 500 µs
+		c.Execute(p, c.costs.StartIO) // 20000 instrs at 40 MIPS = 500 µs
 		doneAt = p.Now()
 	})
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 	if want := sim.Time(500 * sim.Microsecond); doneAt != want {
-		t.Fatalf("StartIO finished at %v, want %v", doneAt, want)
+		t.Fatalf("start-I/O finished at %v, want %v", doneAt, want)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestFCFSContention(t *testing.T) {
 	var ends []sim.Time
 	for i := 0; i < 3; i++ {
 		k.Spawn("w", func(p *sim.Proc) {
-			c.StartIO(p)
+			c.Execute(p, c.costs.StartIO)
 			ends = append(ends, p.Now())
 		})
 	}

@@ -89,7 +89,8 @@ type Stats struct {
 	RebuildOps int64
 }
 
-// Disk is one simulated drive with its own scheduler and service process.
+// Disk is one simulated drive with its own scheduler. It is the
+// sim.Action of its own service loop (Fire).
 type Disk struct {
 	id     int
 	k      *sim.Kernel
@@ -107,11 +108,11 @@ type Disk struct {
 	headCyl  int
 	contexts []cacheContext
 
-	busy      bool
+	cur       *dsched.Request // the request in service; nil while idle
 	busyStart sim.Time
 	stats     Stats
 
-	idle sim.Queue // the service process, parked waiting for work
+	idle sim.Queue // the drive itself, while it waits for work
 	seq  uint64
 
 	// Fault injection: while now < slowUntil every access is stretched
@@ -127,7 +128,6 @@ type Disk struct {
 	failed    bool
 	repairAt  sim.Time
 	failStart sim.Time
-	failEpoch uint64 // bumped per fail-stop; in-service requests spanning one fail
 
 	// observer, when set, sees every demand dispatch's deadline slack
 	// and queue depth (the overload controller's capacity signal).
@@ -137,9 +137,9 @@ type Disk struct {
 	repairHook func(downtime sim.Duration)
 }
 
-// New creates a disk and starts its service process on k. onComplete is
-// invoked in simulation context when a request finishes; it must not
-// block (fire an event or put to a mailbox to hand off).
+// New creates a disk and schedules its first service step on k now.
+// onComplete is invoked in simulation context when a request finishes;
+// it must not block (fire an event or schedule an Action to hand off).
 func New(k *sim.Kernel, id int, params Params, sched dsched.Scheduler, src *rng.Source, onComplete func(*dsched.Request)) *Disk {
 	d := &Disk{
 		id:         id,
@@ -150,7 +150,7 @@ func New(k *sim.Kernel, id int, params Params, sched dsched.Scheduler, src *rng.
 		onComplete: onComplete,
 		contexts:   make([]cacheContext, params.CacheContexts),
 	}
-	k.Spawn("disk", d.run)
+	k.Schedule(k.Now(), d)
 	return d
 }
 
@@ -212,35 +212,17 @@ func (d *Disk) Submit(r *dsched.Request) {
 	d.idle.Signal()
 }
 
-// run is the drive's service loop: pick per the scheduling policy,
-// position, rotate, transfer, complete, repeat.
-func (d *Disk) run(p *sim.Proc) {
-	for {
-		r := d.sched.Next(d.k.Now(), d.headCyl)
-		if r == nil {
-			d.idle.Wait(p)
-			continue
-		}
-		d.busy = true
-		d.busyStart = d.k.Now()
-		d.rec.DiskDispatch(d.id, r.Terminal, d.k.Now().Sub(r.Arrival), r.Prefetch, d.sched.Len())
-		if d.observer != nil && !r.Prefetch && r.Deadline < sim.TimeInfinity {
-			d.observer(r.Deadline.Sub(d.k.Now()), d.sched.Len())
-		}
-
-		service := d.access(r)
-		if d.slowFactor > 1 && d.k.Now() < d.slowUntil {
-			service = sim.Duration(float64(service) * d.slowFactor)
-		}
-		epoch := d.failEpoch
-		p.Sleep(service)
-
-		d.busy = false
+// Fire is the drive's service step, run when the drive starts, when a
+// Submit wakes it idle, and when the access in service ends: complete
+// the request in service, if any, then pick the next per the scheduling
+// policy and position, rotate and transfer it, or wait idle for a Submit.
+func (d *Disk) Fire() {
+	if r := d.cur; r != nil {
+		d.cur = nil
 		d.stats.BusyTime += d.k.Now().Sub(d.busyStart)
-		if d.failEpoch != epoch || d.failed {
-			// The drive fail-stopped while this request was on the platter:
-			// it completes with an error, not data.
-			r.Failed = true
+		if r.Failed {
+			// The drive fail-stopped while this request was on the platter
+			// (Fail marked it): it completes with an error, not data.
 			d.stats.Abandoned++
 		} else {
 			d.stats.Served++
@@ -250,9 +232,26 @@ func (d *Disk) run(p *sim.Proc) {
 				d.stats.PrefetchOps++
 			}
 		}
-		d.rec.DiskComplete(d.id, r.Terminal, service, r.Prefetch, r.Failed)
+		d.rec.DiskComplete(d.id, r.Terminal, d.k.Now().Sub(d.busyStart), r.Prefetch, r.Failed)
 		d.onComplete(r)
 	}
+	r := d.sched.Next(d.k.Now(), d.headCyl)
+	if r == nil {
+		d.idle.Add(d.k, d)
+		return
+	}
+	d.cur = r
+	d.busyStart = d.k.Now()
+	d.rec.DiskDispatch(d.id, r.Terminal, d.k.Now().Sub(r.Arrival), r.Prefetch, d.sched.Len())
+	if d.observer != nil && !r.Prefetch && r.Deadline < sim.TimeInfinity {
+		d.observer(r.Deadline.Sub(d.k.Now()), d.sched.Len())
+	}
+
+	service := d.access(r)
+	if d.slowFactor > 1 && d.k.Now() < d.slowUntil {
+		service = sim.Duration(float64(service) * d.slowFactor)
+	}
+	d.k.Schedule(d.k.Now().Add(service), d)
 }
 
 // access computes the service time of one request and updates the head
@@ -338,8 +337,10 @@ func (d *Disk) InjectFault(factor float64, duration sim.Duration) {
 // earlier, and a permanent failure stays permanent).
 func (d *Disk) Fail(repair sim.Duration) {
 	now := d.k.Now()
-	d.failEpoch++
 	d.stats.FailStops++
+	if d.cur != nil {
+		d.cur.Failed = true
+	}
 	if !d.failed {
 		d.failed = true
 		d.failStart = now
@@ -384,7 +385,7 @@ func (d *Disk) Stats() Stats { return d.stats }
 // BusyTime reports the drive's lifetime busy time, including the
 // access in progress.
 func (d *Disk) BusyTime() sim.Duration {
-	if d.busy {
+	if d.cur != nil {
 		return d.stats.BusyTime + d.k.Now().Sub(d.busyStart)
 	}
 	return d.stats.BusyTime

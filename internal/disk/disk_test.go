@@ -87,12 +87,23 @@ func TestDiskServicesSubmittedRequest(t *testing.T) {
 	}
 }
 
+// An idle drive waits for work without polling: nothing is on the
+// calendar until a Submit, which starts service at that very instant.
 func TestDiskWakesFromIdle(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	var done []*dsched.Request
-	d := newTestDisk(k, dsched.NewFCFS(), &done)
+	var doneAt sim.Time
+	d := New(k, 0, DefaultParams(), dsched.NewFCFS(), rng.New(42).Derive("disk"), func(r *dsched.Request) {
+		done, doneAt = append(done, r), k.Now()
+	})
 	// Let the disk go idle first, then submit.
+	if err := k.Run(sim.Time(sim.Second / 2)); err != nil {
+		t.Fatal(err)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("an idle drive left %d events on the calendar", k.Pending())
+	}
 	k.At(sim.Time(sim.Second), func() {
 		d.Submit(&dsched.Request{Offset: 0, Size: 1024})
 	})
@@ -101,6 +112,43 @@ func TestDiskWakesFromIdle(t *testing.T) {
 	}
 	if len(done) != 1 {
 		t.Fatal("request after idle was not serviced")
+	}
+	if busy := d.Stats().BusyTime; busy <= 0 || doneAt != sim.Time(sim.Second).Add(busy) {
+		t.Fatalf("completed at %v after %v of service, want service to start at the 1s submit", doneAt, busy)
+	}
+}
+
+// A fail-stop while a request is on the platter abandons it: it still
+// completes when its access would have ended, but Failed, even when the
+// drive is repaired before then.
+func TestFailStopDuringServiceAbandonsRequest(t *testing.T) {
+	run := func(fail bool, repair sim.Duration) (*dsched.Request, sim.Time, Stats) {
+		k := sim.NewKernel()
+		defer k.Close()
+		var r *dsched.Request
+		var at sim.Time
+		d := New(k, 0, DefaultParams(), dsched.NewFCFS(), rng.New(42).Derive("disk"), func(c *dsched.Request) {
+			r, at = c, k.Now()
+		})
+		k.At(0, func() { d.Submit(&dsched.Request{Offset: 0, Size: 512 * 1024}) })
+		if fail {
+			k.At(sim.Time(sim.Millisecond), func() { d.Fail(repair) })
+		}
+		if err := k.Run(sim.Time(sim.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return r, at, d.Stats()
+	}
+	_, end, _ := run(false, 0)
+	for _, repair := range []sim.Duration{0, sim.Millisecond} {
+		r, at, s := run(true, repair)
+		if r == nil || !r.Failed || at != end {
+			t.Fatalf("repair %v: completion %+v at %v, want Failed at the access end %v", repair, r, at, end)
+		}
+		if s.Abandoned != 1 || s.Served != 0 || s.BusyTime != end.Sub(0) {
+			t.Fatalf("repair %v: abandoned %d, served %d, busy %v, want 1, 0, %v",
+				repair, s.Abandoned, s.Served, s.BusyTime, end.Sub(0))
+		}
 	}
 }
 

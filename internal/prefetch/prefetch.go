@@ -1,6 +1,7 @@
 // Package prefetch implements the three SPIFFI prefetching strategies of
 // §5.2.3. Prefetch requests for each disk wait in a queue drained by a
-// fixed set of prefetch worker processes (the number of workers sets the
+// fixed set of prefetch workers, continuations that Get a job or wait
+// to be fired when one may be eligible (the number of workers sets the
 // prefetching "aggressiveness"):
 //
 //   - Basic: a FIFO queue; requests reach the disk with no deadline and
@@ -32,27 +33,41 @@ type Job struct {
 type Queue interface {
 	// Put enqueues a job (never blocks).
 	Put(j Job)
-	// Get blocks the worker until a job is eligible for issue, then
-	// dequeues and returns it.
-	Get(p *sim.Proc) Job
+	// Get dequeues and returns a job that is eligible for issue now and
+	// true. Otherwise it queues worker a, which is fired when a job may
+	// have become eligible and then calls Get again, and returns false.
+	Get(a sim.Action) (Job, bool)
 }
 
 // FIFO is the basic prefetching queue: jobs issue in arrival order as
-// soon as a worker is free.
+// soon as a worker is free. A woken worker does not reserve the job that
+// woke it, so with more than one worker a job may go to a worker that
+// asked after it; Normalize gives a FIFO one worker per disk.
 type FIFO struct {
-	mbox *sim.Mailbox[Job]
+	k       *sim.Kernel
+	jobs    []Job
+	waiters sim.Queue // idle workers
 }
 
 // NewFIFO creates the basic queue.
-func NewFIFO(k *sim.Kernel) *FIFO {
-	return &FIFO{mbox: sim.NewMailbox[Job](k)}
-}
+func NewFIFO(k *sim.Kernel) *FIFO { return &FIFO{k: k} }
 
 // Put implements Queue.
-func (f *FIFO) Put(j Job) { f.mbox.Put(j) }
+func (f *FIFO) Put(j Job) {
+	f.jobs = append(f.jobs, j)
+	f.waiters.Signal()
+}
 
 // Get implements Queue.
-func (f *FIFO) Get(p *sim.Proc) Job { return f.mbox.Get(p) }
+func (f *FIFO) Get(a sim.Action) (Job, bool) {
+	if len(f.jobs) == 0 {
+		f.waiters.Add(f.k, a)
+		return Job{}, false
+	}
+	j := f.jobs[0]
+	f.jobs = f.jobs[:copy(f.jobs, f.jobs[1:])]
+	return j, true
+}
 
 // Deadline is the real-time prefetching queue: a priority queue on
 // estimated deadline. With MaxAdvance > 0 it is the delayed prefetching
@@ -65,7 +80,7 @@ type Deadline struct {
 
 	heap    []Job
 	seq     uint64
-	waiters sim.Queue // parked workers
+	waiters sim.Queue // idle workers
 	timer   bool      // a release timer is pending
 	timerAt sim.Time  // when the pending timer fires
 }
@@ -101,24 +116,22 @@ func (d *Deadline) releaseTime(j Job) sim.Time {
 	return j.Deadline.Add(-d.maxAdvance)
 }
 
-// Get implements Queue.
-func (d *Deadline) Get(p *sim.Proc) Job {
-	for {
-		if len(d.heap) > 0 {
-			head := d.heap[0]
-			rel := d.releaseTime(head)
-			if rel <= d.k.Now() {
-				return d.pop()
-			}
-			// Park until the head becomes eligible; a new, earlier job may
-			// arrive meanwhile, in which case kick() reschedules us.
-			d.armTimer(rel)
+// Get implements Queue. When the head job is not yet eligible, it arms a
+// release timer for the head's release time before queueing a.
+func (d *Deadline) Get(a sim.Action) (Job, bool) {
+	if len(d.heap) > 0 {
+		rel := d.releaseTime(d.heap[0])
+		if rel <= d.k.Now() {
+			return d.pop(), true
 		}
-		d.waiters.Wait(p)
+		// A new, earlier job may arrive meanwhile; kick() fires a then.
+		d.armTimer(rel)
 	}
+	d.waiters.Add(d.k, a)
+	return Job{}, false
 }
 
-// kick wakes one parked worker if a job is currently eligible, or arms a
+// kick wakes one idle worker if a job is currently eligible, or arms a
 // release timer otherwise.
 func (d *Deadline) kick() {
 	if d.waiters.Len() == 0 || len(d.heap) == 0 {

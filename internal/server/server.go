@@ -8,7 +8,9 @@
 // start-I/O (CPU cost) and a scheduled disk read → reply (CPU send cost,
 // wire delay). Every demand reference also enqueues a prefetch for the
 // video's next stripe block on the same disk (§5.2.3). Each request runs
-// through that flow as a continuation (job), not as a process.
+// through that flow as a continuation (job), not as a process, and so
+// does each prefetch worker, which drains its disk's prefetch queue
+// through the same pool, start-I/O and disk-read stages.
 package server
 
 import (
@@ -118,9 +120,9 @@ type Node struct {
 }
 
 // diskCtx is a disk-read context: the request it submits and the event
-// the completion fires. A job or prefetch worker reuses one for all its
-// reads, since every Submit completes exactly once and its owner waits
-// for that before reading again.
+// the completion fires. A job reuses one for all its reads, since every
+// Submit completes exactly once and its owner waits for that before
+// reading again.
 type diskCtx struct {
 	req  dsched.Request
 	id   bufferpool.PageID
@@ -138,8 +140,9 @@ func (c *diskCtx) arm(id bufferpool.PageID, r dsched.Request) *dsched.Request {
 }
 
 // New builds a node with its CPU, buffer pool, disks and prefetch
-// workers. net delivers replies; place resolves addresses; diskSrcs
-// supplies one random stream per local disk (rotational latency draws);
+// workers, and schedules each worker to take its first job now. net
+// delivers replies; place resolves addresses; diskSrcs supplies one
+// random stream per local disk (rotational latency draws);
 // stripePlayTime is the playback duration of one full stripe block.
 func New(
 	k *sim.Kernel,
@@ -178,10 +181,8 @@ func New(
 		for i := 0; i < nd; i++ {
 			n.queues[i] = cfg.Prefetch.NewQueue(k)
 			for w := 0; w < cfg.Prefetch.WorkersPerDisk; w++ {
-				di := i
-				k.Spawn("prefetch", func(p *sim.Proc) {
-					n.prefetchWorker(p, di, new(diskCtx))
-				})
+				k.Schedule(k.Now(), &job{n: n, req: &proto.BlockRequest{Terminal: -1},
+					queue: n.queues[i], stage: stageTake})
 			}
 		}
 	}
@@ -232,11 +233,13 @@ func (n *Node) DeliverRequest(req *proto.BlockRequest) {
 	n.k.Schedule(n.k.Now(), j)
 }
 
-// stage is the step of the demand flow a job runs when it next fires.
+// stage is the step of the demand or prefetch flow a job runs when it
+// next fires.
 type stage uint8
 
 const (
 	stageReceive  stage = iota // charge the receive cost
+	stageTake                  // a prefetch worker takes its next job
 	stageLookup                // route the request; cache, dead-disk and stale checks
 	stageAcquire               // take a pool frame (again, after a frame wait)
 	stageSubmit                // start-I/O charged: submit the disk read
@@ -248,12 +251,18 @@ const (
 	stageBurst                 // the burst is over: release the CPU, go on to next
 )
 
-// job serves one demand request at a time. Each Fire runs stages until
-// one waits for the CPU, a frame, the disk or a fetch in flight; the
-// wait's end schedules the job where a blocked process would resume.
+// job serves one demand request at a time, or is a prefetch worker that
+// reads one prefetch job at a time (§5.2.3), so workers that wait for
+// frames throttle prefetching when memory is scarce. Each Fire runs
+// stages until one waits for the prefetch queue, the CPU, a frame, the
+// disk or a fetch in flight; the wait's end schedules the job where a
+// blocked process would resume.
 type job struct {
-	n     *Node
+	n *Node
+	// req is the demand request; a prefetch worker's own has terminal -1
+	// and the deadline of the prefetch in hand.
 	req   *proto.BlockRequest
+	queue prefetch.Queue   // a prefetch worker's disk queue; nil for a demand job
 	pg    *bufferpool.Page // the pinned frame; nil on a cache hit or a NACK
 	id    bufferpool.PageID
 	addr  layout.Address
@@ -284,6 +293,26 @@ func (j *job) step() bool {
 		return true
 	case stageReceive:
 		return j.charge(n.cfg.CPUCosts.Receive, stageLookup)
+	case stageTake:
+		pj, ok := j.queue.Get(j)
+		if !ok {
+			return false
+		}
+		j.id = bufferpool.PageID{Video: pj.Video, Block: pj.Block}
+		if n.pool.Contains(j.id) || n.stale != nil && n.stale(pj.Video, pj.Block, 0) {
+			// Resident already, or the primary copy awaits rebuild and
+			// prefetching it would buffer garbage: take the next job.
+			return true
+		}
+		j.addr = n.place.Locate(pj.Video, pj.Block)
+		req.Deadline = pj.Deadline
+		if !n.cfg.Sched.IsRealTime() {
+			// Without deadline-aware scheduling the estimate is unused;
+			// park prefetches behind everything just in case.
+			req.Deadline = sim.TimeInfinity
+		}
+		j.stage = stageAcquire
+		return true
 	case stageLookup:
 		n.stats.Requests++
 		j.id = bufferpool.PageID{Video: req.Video, Block: req.Block}
@@ -314,16 +343,22 @@ func (j *job) step() bool {
 		}
 		fallthrough
 	case stageAcquire:
-		pg, out, ok := n.pool.TryAcquire(j, j.id, req.Terminal, false)
-		if !ok {
+		pg, out := n.pool.Acquire(j, j.id, req.Terminal, j.queue != nil)
+		if pg == nil {
 			j.stage = stageAcquire
 			return false
 		}
 		j.pg = pg
-		switch out {
-		case bufferpool.MustFetch:
+		switch {
+		case out == bufferpool.MustFetch:
+			if j.queue != nil {
+				n.stats.Prefetches++
+			}
 			return j.charge(n.cfg.CPUCosts.StartIO, stageSubmit)
-		case bufferpool.InFlight:
+		case j.queue != nil:
+			// The block came in while the worker waited for a frame.
+			return j.take()
+		case out == bufferpool.InFlight:
 			// A prefetch (or another terminal's fetch) is already on its
 			// way; tighten its queued deadline to the real one (§5.2.3).
 			if dr, found := n.inflight[j.id]; found && req.Deadline < dr.Deadline {
@@ -336,11 +371,30 @@ func (j *job) step() bool {
 		j.stage = stageServe // a hit: the data is already buffered
 		return true
 	case stageSubmit:
-		n.submitRead(&j.disk, j.pg, j.addr, req.Deadline, req.Terminal, false)
+		// The read is recorded in flight, so a demand arrival can tighten
+		// its deadline.
+		dr := j.disk.arm(j.id, dsched.Request{
+			Offset:   j.addr.Offset,
+			Size:     j.addr.Size,
+			Deadline: req.Deadline,
+			Terminal: req.Terminal,
+			Prefetch: j.queue != nil,
+		})
+		n.inflight[j.id] = dr
+		n.disks[j.addr.Disk].Submit(dr)
 		j.stage = stageRead
 		return j.disk.done.Then(n.k, j)
 	case stageRead:
-		n.finishRead(&j.disk, j.pg)
+		// The page is valid, or its fetch aborts when the disk
+		// fail-stopped first.
+		if j.disk.req.Failed {
+			n.pool.FetchFailed(j.pg)
+		} else {
+			n.pool.FetchComplete(j.pg)
+		}
+		if j.queue != nil {
+			return j.take()
+		}
 		fallthrough
 	case stageInFlight:
 		if !j.pg.Valid() {
@@ -373,6 +427,13 @@ func (j *job) step() bool {
 	j.req, j.pg = nil, nil
 	n.jobs = append(n.jobs, j)
 	return false
+}
+
+// take unpins a prefetch worker's frame and goes back to its queue.
+func (j *job) take() bool {
+	j.n.pool.Unpin(j.pg)
+	j.pg, j.stage = nil, stageTake
+	return true
 }
 
 // charge runs a CPU burst of instrs instructions and then stage next,
@@ -420,41 +481,6 @@ func (n *Node) reply(req *proto.BlockRequest, bytes int64) {
 		return
 	}
 	n.net.SendAction(bytes, req.Via(req.Deliver))
-}
-
-// readBlock performs a disk read for an acquired MustFetch page through
-// the calling process's disk context and marks the page valid, or — when
-// the disk fail-stops before delivering — aborts the fetch. Caller keeps
-// the pin either way.
-func (n *Node) readBlock(p *sim.Proc, ctx *diskCtx, pg *bufferpool.Page, addr layout.Address, deadline sim.Time, term int, isPrefetch bool) {
-	n.cpu.StartIO(p)
-	n.submitRead(ctx, pg, addr, deadline, term, isPrefetch)
-	ctx.done.Wait(p)
-	n.finishRead(ctx, pg)
-}
-
-// submitRead submits the disk read of MustFetch page pg through ctx and
-// records it in flight, so a demand arrival can tighten its deadline.
-func (n *Node) submitRead(ctx *diskCtx, pg *bufferpool.Page, addr layout.Address, deadline sim.Time, term int, isPrefetch bool) {
-	dr := ctx.arm(pg.ID, dsched.Request{
-		Offset:   addr.Offset,
-		Size:     addr.Size,
-		Deadline: deadline,
-		Terminal: term,
-		Prefetch: isPrefetch,
-	})
-	n.inflight[pg.ID] = dr
-	n.disks[addr.Disk].Submit(dr)
-}
-
-// finishRead marks pg valid once ctx's read has completed, or aborts the
-// fetch when the disk fail-stopped first.
-func (n *Node) finishRead(ctx *diskCtx, pg *bufferpool.Page) {
-	if ctx.req.Failed {
-		n.pool.FetchFailed(pg)
-	} else {
-		n.pool.FetchComplete(pg)
-	}
 }
 
 // Crash fail-stops the whole node: every local disk fails (abandoning its
@@ -562,38 +588,4 @@ func (n *Node) triggerPrefetch(req *proto.BlockRequest, addr layout.Address) {
 		Block:    next,
 		Deadline: est,
 	})
-}
-
-// prefetchWorker drains one disk's prefetch queue (§5.2.3). The number
-// of workers per disk sets prefetch aggressiveness; workers blocked on
-// buffer frames throttle naturally when memory is scarce.
-func (n *Node) prefetchWorker(p *sim.Proc, diskIdx int, ctx *diskCtx) {
-	q := n.queues[diskIdx]
-	for {
-		job := q.Get(p)
-		id := bufferpool.PageID{Video: job.Video, Block: job.Block}
-		if n.pool.Contains(id) {
-			continue
-		}
-		if n.stale != nil && n.stale(job.Video, job.Block, 0) {
-			// The primary copy is awaiting rebuild; prefetching it would
-			// buffer garbage.
-			continue
-		}
-		pg, out := n.pool.Acquire(p, id, -1, true)
-		if out != bufferpool.MustFetch {
-			n.pool.Unpin(pg)
-			continue
-		}
-		deadline := job.Deadline
-		if !n.cfg.Sched.IsRealTime() {
-			// Without deadline-aware scheduling the estimate is unused;
-			// park prefetches behind everything just in case.
-			deadline = sim.TimeInfinity
-		}
-		addr := n.place.Locate(job.Video, job.Block)
-		n.stats.Prefetches++
-		n.readBlock(p, ctx, pg, addr, deadline, -1, true)
-		n.pool.Unpin(pg)
-	}
 }

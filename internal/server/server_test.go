@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"spiffi/internal/bufferpool"
@@ -154,24 +155,70 @@ func TestPrefetchedBlockHitsWithoutDiskRead(t *testing.T) {
 	}
 }
 
+// A demand for a block whose prefetch is still queued behind demand
+// reads on a busy disk tightens the prefetch's deadline to its own
+// (§5.2.3), so the real-time scheduler dispatches the prefetch ahead of
+// the lazier reads it was queued behind.
 func TestDeadlineTighteningOnInflightPrefetch(t *testing.T) {
-	cfg := baseCfg()
-	cfg.Sched = dsched.Config{Kind: dsched.KindRealTime, Classes: 3, Spacing: 4 * sim.Second}
-	cfg.Prefetch = prefetch.Config{Mode: prefetch.ModeRealTime, WorkersPerDisk: 1}
-	r := newRig(t, cfg)
+	r, rec := tracedRig(t, func(c *Config) {
+		c.Sched = dsched.Config{Kind: dsched.KindRealTime, Classes: 3, Spacing: 4 * sim.Second}
+		c.Prefetch = prefetch.Config{Mode: prefetch.ModeRealTime, WorkersPerDisk: 1}
+	})
 	defer r.k.Close()
-	// Demand block 0 (spawns prefetch of block 2 with a lazy estimated
-	// deadline). Immediately demand block 2 with an urgent deadline while
-	// the prefetch is still queued/being serviced.
-	r.k.At(0, func() { r.request(0, 0, 1, sim.Time(60*sim.Second)) })
-	r.k.At(sim.Time(130*sim.Millisecond), func() {
-		r.request(0, 2, 1, sim.Time(200*sim.Millisecond))
+	// Disk 0 reads block 0 at once, and blocks 4, 6 and 8 (6 s deadlines:
+	// the middle priority class) queue behind it. Block 0's reference
+	// prefetches block 2 with a deadline estimated from block 0's lazy
+	// 60 s one (the lowest class). Block 0's reply asks for block 2 with
+	// a 1 s deadline (the highest class) while the disk still reads one
+	// of the other three and the prefetch waits in its queue.
+	var urgent *bool
+	var asked sim.Time
+	r.k.At(0, func() {
+		r.node.DeliverRequest(&proto.BlockRequest{
+			Block:    0,
+			Size:     r.place.SizeOfBlock(0, 0),
+			Deadline: sim.Time(60 * sim.Second),
+			Terminal: 1,
+			Deliver: func(*proto.BlockRequest) {
+				asked = r.k.Now()
+				urgent = r.request(0, 2, 5, asked.Add(sim.Second))
+			},
+		})
+		for i, b := range []int{4, 6, 8} {
+			r.request(0, b, 2+i, sim.Time(6*sim.Second))
+		}
 	})
 	if err := r.k.Run(sim.Time(5 * sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if r.node.Stats().DeadlineUps == 0 {
-		t.Skip("prefetch completed before the demand arrived in this timing; tightening not exercised")
+	if urgent == nil || !*urgent {
+		t.Fatal("the urgent demand was never answered")
+	}
+	if s := r.node.Stats(); s.DeadlineUps != 1 || s.Prefetches != 2 {
+		t.Fatalf("deadline tightenings %d, prefetch reads %d, want 1 and 2 (blocks 2 and 10)",
+			s.DeadlineUps, s.Prefetches)
+	}
+	if ps := r.node.Pool().Stats(); ps.InFlightHits != 1 {
+		t.Fatalf("in-flight hits = %d, want 1: the urgent demand waits on the prefetch", ps.InFlightHits)
+	}
+	var order []int32
+	var prefetchAt sim.Time
+	for _, ev := range rec.Snapshot().Events {
+		if ev.Kind == trace.KindDiskDispatch && ev.A == 0 {
+			if ev.Terminal == -1 && prefetchAt == 0 {
+				prefetchAt = ev.T
+			}
+			order = append(order, ev.Terminal)
+		}
+	}
+	if prefetchAt <= asked {
+		t.Fatalf("the prefetch was dispatched at %v, not after the urgent demand at %v", prefetchAt, asked)
+	}
+	// Block 0, the read in service when block 2 was asked for, then the
+	// tightened prefetch, then the other two lazy reads, and last the
+	// prefetch of block 10 that block 8's reference queued.
+	if want := []int32{1, 2, -1, 3, 4, -1}; !slices.Equal(order, want) {
+		t.Fatalf("disk 0 dispatched terminals %v, want %v", order, want)
 	}
 }
 
@@ -417,6 +464,55 @@ func (r *rig) ask(b, term int) *answer {
 	return a
 }
 
+// tracedRig builds a node from baseCfg, edited by edit, whose disks
+// record to the returned trace.
+func tracedRig(t *testing.T, edit func(*Config)) (*rig, *trace.Recorder) {
+	cfg := baseCfg()
+	edit(&cfg)
+	r := newRig(t, cfg)
+	rec := trace.NewRecorder(r.k, trace.Options{Enabled: true})
+	for _, d := range r.node.Disks() {
+		d.SetTrace(rec)
+	}
+	return r, rec
+}
+
+// clock is what a stage test computes reply and read times from.
+type clock struct {
+	recv, startIO, send sim.Duration
+	data, nack          sim.Duration // wire delay of a data reply and of a NACK
+	// submitted and completed: each terminal's first disk enqueue and
+	// first completion, from the trace (-1: the prefetch worker's).
+	submitted, completed map[int]sim.Time
+}
+
+// clock reads the rig's Table 1 costs and wire delays, and its disks'
+// enqueue and completion times from rec.
+func (r *rig) clock(rec *trace.Recorder) clock {
+	cpu, costs := r.node.CPU(), cpu.DefaultCosts()
+	c := clock{
+		recv:      cpu.Time(costs.Receive),
+		startIO:   cpu.Time(costs.StartIO),
+		send:      cpu.Time(costs.Send),
+		data:      r.net.WireDelay(r.place.SizeOfBlock(0, 0) + proto.ReplyHeaderBytes),
+		nack:      r.net.WireDelay(proto.NackBytes),
+		submitted: map[int]sim.Time{},
+		completed: map[int]sim.Time{},
+	}
+	for _, ev := range rec.Snapshot().Events {
+		m := c.submitted
+		if ev.Kind == trace.KindDiskComplete {
+			m = c.completed
+		} else if ev.Kind != trace.KindDiskEnqueue {
+			continue
+		}
+		if _, seen := m[int(ev.Terminal)]; !seen {
+			m[int(ev.Terminal)] = ev.T
+		}
+	}
+	return c
+}
+
 // One node is driven through every stage of the demand flow, and every
 // reply must carry the right status at the exact time the Table 1 CPU
 // costs, the disk and the wire put it: on a disk path, the read's
@@ -424,13 +520,6 @@ func (r *rig) ask(b, term int) *answer {
 // trace and the rest is computed.
 func TestEveryJobStage(t *testing.T) {
 	const term = 7 // the terminal whose reply each case checks
-	type clock struct {
-		recv, startIO, send sim.Duration
-		data, nack          sim.Duration // wire delay of a data reply and of a NACK
-		// submitted and completed: disk enqueue and completion times by
-		// terminal (-1: the first prefetch).
-		submitted, completed map[int]sim.Time
-	}
 	ok, nacked := proto.StatusOK, proto.StatusNackDiskFailed
 	for _, tc := range []struct {
 		name   string
@@ -572,43 +661,18 @@ func TestEveryJobStage(t *testing.T) {
 		},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := baseCfg()
-			cfg.Prefetch.Mode = prefetch.ModeOff
-			if tc.cfg != nil {
-				tc.cfg(&cfg)
-			}
-			r := newRig(t, cfg)
+			r, rec := tracedRig(t, func(c *Config) {
+				c.Prefetch.Mode = prefetch.ModeOff
+				if tc.cfg != nil {
+					tc.cfg(c)
+				}
+			})
 			defer r.k.Close()
-			rec := trace.NewRecorder(r.k, trace.Options{Enabled: true})
-			for _, d := range r.node.Disks() {
-				d.SetTrace(rec)
-			}
 			tc.drive(r)
 			if err := r.k.Run(sim.Time(5 * sim.Second)); err != nil {
 				t.Fatal(err)
 			}
-			cpu, costs := r.node.CPU(), cpu.DefaultCosts()
-			size := r.place.SizeOfBlock(0, 0)
-			c := clock{
-				recv:      cpu.Time(costs.Receive),
-				startIO:   cpu.Time(costs.StartIO),
-				send:      cpu.Time(costs.Send),
-				data:      r.net.WireDelay(size + proto.ReplyHeaderBytes),
-				nack:      r.net.WireDelay(proto.NackBytes),
-				submitted: map[int]sim.Time{},
-				completed: map[int]sim.Time{},
-			}
-			for _, ev := range rec.Snapshot().Events {
-				m := c.submitted
-				if ev.Kind == trace.KindDiskComplete {
-					m = c.completed
-				} else if ev.Kind != trace.KindDiskEnqueue {
-					continue
-				}
-				if _, seen := m[int(ev.Terminal)]; !seen {
-					m[int(ev.Terminal)] = ev.T
-				}
-			}
+			c := r.clock(rec)
 			a := r.answers[term]
 			if a == nil || !a.done {
 				t.Fatal("request never answered")
@@ -626,5 +690,203 @@ func TestEveryJobStage(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// unpinned reports whether every frame of the node's pool can be taken
+// at once, so no job or prefetch worker kept a pin.
+func unpinned(r *rig) bool {
+	for i := 0; i < r.node.cfg.PoolPages; i++ {
+		if pg, _ := r.node.pool.Acquire(nil, bufferpool.PageID{Video: -2, Block: i}, -1, false); pg == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// The prefetch worker of disk 0 is driven through each of its stages by
+// putting jobs on its queue directly, and its first disk read must be
+// enqueued at the exact time the Table 1 CPU costs and the disk put it.
+// Demand reads that hold or take frames here ask for blocks 62 and 63,
+// the last of the video on each disk, so they trigger no prefetch.
+func TestEveryPrefetchStage(t *testing.T) {
+	put := func(r *rig, at sim.Time, blocks ...int) {
+		r.k.At(at, func() {
+			for _, b := range blocks {
+				r.node.queues[0].Put(prefetch.Job{Block: b, Deadline: sim.TimeInfinity})
+			}
+		})
+	}
+	second := sim.Time(sim.Second)
+	for _, tc := range []struct {
+		name       string
+		pages      int // pool frames; 0 keeps baseCfg's
+		drive      func(r *rig)
+		at         func(c clock) sim.Time // the first prefetch read's enqueue
+		prefetches int64                  // prefetch reads issued
+		check      func(r *rig) error
+	}{{
+		name:       "queue wait then wake",
+		drive:      func(r *rig) { put(r, second, 2) },
+		at:         func(c clock) sim.Time { return second.Add(c.startIO) },
+		prefetches: 1,
+		check: func(r *rig) error {
+			if !r.node.pool.Contains(bufferpool.PageID{Block: 2}) {
+				return fmt.Errorf("block 2 was not prefetched")
+			}
+			return nil
+		},
+	}, {
+		name: "skip: resident",
+		drive: func(r *rig) {
+			r.ask(62, 1)
+			put(r, second, 62, 2)
+		},
+		// Block 62 is skipped at once: block 2's read starts at 1 s.
+		at:         func(c clock) sim.Time { return second.Add(c.startIO) },
+		prefetches: 1,
+		check: func(r *rig) error {
+			if ps := r.node.pool.Stats(); ps.PrefetchSkip != 0 {
+				return fmt.Errorf("prefetch skips = %d, want 0: residency is checked before Acquire", ps.PrefetchSkip)
+			}
+			return nil
+		},
+	}, {
+		name: "skip: stale",
+		drive: func(r *rig) {
+			r.node.SetStaleCheck(func(video, block, copy int) bool { return block == 2 })
+			put(r, second, 2, 4)
+		},
+		at:         func(c clock) sim.Time { return second.Add(c.startIO) },
+		prefetches: 1,
+		check: func(r *rig) error {
+			if r.node.pool.Contains(bufferpool.PageID{Block: 2}) {
+				return fmt.Errorf("stale block 2 was prefetched")
+			}
+			return nil
+		},
+	}, {
+		name:  "frame wait in a full pool",
+		pages: 1,
+		drive: func(r *rig) {
+			r.ask(63, 1) // holds the only frame until its reply is sent
+			put(r, sim.Time(sim.Millisecond), 2)
+		},
+		at:         func(c clock) sim.Time { return c.completed[1].Add(c.send + c.startIO) },
+		prefetches: 1,
+		check: func(r *rig) error {
+			if ps := r.node.pool.Stats(); ps.AllocWaits != 1 {
+				return fmt.Errorf("alloc waits = %d, want 1", ps.AllocWaits)
+			}
+			return nil
+		},
+	}, {
+		name:  "resident after a frame wait",
+		pages: 1,
+		drive: func(r *rig) {
+			r.ask(63, 1)
+			// Block 62's demand queues for the frame first, the worker
+			// second; the worker gets the frame only after the demand has
+			// read block 62 and sent it, finds it resident, and goes on.
+			r.k.At(sim.Time(sim.Millisecond), func() { r.ask(62, 2) })
+			put(r, sim.Time(2*sim.Millisecond), 62, 2)
+		},
+		at:         func(c clock) sim.Time { return c.completed[2].Add(c.send + c.startIO) },
+		prefetches: 1,
+		check: func(r *rig) error {
+			if ps := r.node.pool.Stats(); ps.PrefetchSkip != 1 || ps.AllocWaits != 2 {
+				return fmt.Errorf("prefetch skips %d, alloc waits %d, want 1 and 2", ps.PrefetchSkip, ps.AllocWaits)
+			}
+			return nil
+		},
+	}, {
+		name: "read on a fail-stopped disk",
+		drive: func(r *rig) {
+			r.node.Disks()[0].Fail(0)
+			put(r, second, 2)
+		},
+		at:         func(c clock) sim.Time { return second.Add(c.startIO) },
+		prefetches: 1,
+		check: func(r *rig) error {
+			if ps := r.node.pool.Stats(); ps.FetchFails != 1 || r.node.pool.Contains(bufferpool.PageID{Block: 2}) {
+				return fmt.Errorf("fetch fails = %d, want 1 and block 2 dropped", ps.FetchFails)
+			}
+			return nil
+		},
+	}, {
+		name: "disk fail-stop during the read",
+		drive: func(r *rig) {
+			put(r, 0, 2)
+			r.k.At(sim.Time(sim.Millisecond), func() { r.node.Disks()[0].Fail(0) })
+		},
+		at:         func(c clock) sim.Time { return sim.Time(c.startIO) },
+		prefetches: 1,
+		check: func(r *rig) error {
+			if ps := r.node.pool.Stats(); ps.FetchFails != 1 || r.node.pool.Contains(bufferpool.PageID{Block: 2}) {
+				return fmt.Errorf("fetch fails = %d, want 1 and block 2 dropped", ps.FetchFails)
+			}
+			return nil
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, rec := tracedRig(t, func(c *Config) {
+				if tc.pages > 0 {
+					c.PoolPages = tc.pages
+				}
+			})
+			defer r.k.Close()
+			tc.drive(r)
+			if err := r.k.Run(sim.Time(5 * sim.Second)); err != nil {
+				t.Fatal(err)
+			}
+			c := r.clock(rec)
+			if got, want := c.submitted[-1], tc.at(c); got != want {
+				t.Fatalf("first prefetch read enqueued at %v, want %v (disk enqueued %v, completed %v)",
+					got, want, c.submitted, c.completed)
+			}
+			if got := r.node.Stats().Prefetches; got != tc.prefetches {
+				t.Fatalf("prefetch reads = %d, want %d", got, tc.prefetches)
+			}
+			for term, a := range r.answers {
+				if !a.done || a.status != proto.StatusOK {
+					t.Fatalf("terminal %d's demand: done %v, status %v", term, a.done, a.status)
+				}
+			}
+			if err := tc.check(r); err != nil {
+				t.Fatal(err)
+			}
+			if !unpinned(r) {
+				t.Fatal("a frame is still pinned after the run")
+			}
+		})
+	}
+}
+
+// A warm prefetch worker reads a block with no allocation: the job rides
+// the queue by value, the worker reuses its disk context, and the read
+// reuses an evicted page.
+func TestPrefetchReadAllocations(t *testing.T) {
+	cfg := baseCfg()
+	cfg.PoolPages = 8
+	cfg.Replacement = bufferpool.PolicyGlobalLRU
+	r := newRig(t, cfg)
+	defer r.k.Close()
+	i := 0
+	read := func() {
+		i++
+		// 32 blocks of disk 0 cycle through 8 frames: every read misses.
+		r.node.queues[0].Put(prefetch.Job{Block: 2 * (i % 32), Deadline: sim.TimeInfinity})
+		if err := r.k.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 64; j++ {
+		read() // warm: worker, pool, queue, disk and calendar
+	}
+	if n := testing.AllocsPerRun(200, read); n > 0 {
+		t.Errorf("%v allocs per prefetch read, want 0", n)
+	}
+	if got := r.node.Stats().Prefetches; got != 64+201 {
+		t.Fatalf("%d prefetch reads, want %d", got, 64+201)
 	}
 }
