@@ -27,17 +27,33 @@ type event struct {
 	a   Action
 }
 
+// farAhead is how far ahead of now an entry must be scheduled to be
+// filed in the far heap rather than the near one. Terminal timers sit
+// seconds ahead and stay resident; the hops a block request takes are
+// under it and are popped soon after they are pushed.
+const farAhead = 100 * Millisecond
+
 // Kernel is the simulation executive: an event calendar plus the
 // coroutines that run processes one at a time.
+//
+// The calendar dispatches in (time, seq) order from three tiers shaped
+// like the schedule. A FIFO lane holds every entry scheduled for the
+// current instant: it was scheduled after every heap entry for that
+// instant, so the lane drains after them. A near heap holds entries
+// less than farAhead ahead and a far heap the rest, so the many
+// resident far-future timers add no levels to the short-lived hops;
+// the next entry is the smaller of the two heap tops.
 //
 // A Kernel is not safe for concurrent use from multiple OS-level
 // goroutines; all user logic runs either inside kernel-context event
 // callbacks or inside processes.
 type Kernel struct {
-	now    Time
-	heap   []event
-	seq    uint64
-	events uint64 // total events dispatched
+	now       Time
+	lane      []Action // entries at now, in seq order from lane[head]
+	head      int
+	near, far eventHeap
+	seq       uint64
+	events    uint64 // total events dispatched
 
 	coros []*coro // every coroutine started, parked, idle or finished
 	idle  []*coro // coroutines whose process returned, ready for reuse
@@ -63,7 +79,7 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Events() uint64 { return k.events }
 
 // Pending returns the number of events currently on the calendar.
-func (k *Kernel) Pending() int { return len(k.heap) }
+func (k *Kernel) Pending() int { return len(k.lane) - k.head + len(k.near) + len(k.far) }
 
 // Schedule puts a on the calendar to fire at absolute time t, after every
 // entry already scheduled for t. Scheduling in the past is a programming
@@ -73,7 +89,14 @@ func (k *Kernel) Schedule(t Time, a Action) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
 	k.seq++
-	k.push(event{t: t, seq: k.seq, a: a})
+	switch d := t.Sub(k.now); {
+	case d == 0:
+		k.lane = append(k.lane, a)
+	case d < farAhead:
+		k.near.push(event{t: t, seq: k.seq, a: a})
+	default:
+		k.far.push(event{t: t, seq: k.seq, a: a})
+	}
 }
 
 // At schedules fn to run in kernel context at absolute time t. fn must not
@@ -97,17 +120,27 @@ func (k *Kernel) Run(until Time) (err error) {
 			err = fmt.Errorf("sim: event panic at t=%v: %v\n%s", k.now, r, debug.Stack())
 		}
 	}()
-	for len(k.heap) > 0 {
-		if k.heap[0].t > until {
+	for {
+		t, h, ok := k.next()
+		if !ok || t > until {
 			break
 		}
 		if k.MaxEvents != 0 && k.events >= k.MaxEvents {
 			return fmt.Errorf("sim: exceeded MaxEvents=%d at t=%v", k.MaxEvents, k.now)
 		}
-		ev := k.pop()
-		k.now = ev.t
+		var a Action
+		if h == nil {
+			a = k.lane[k.head]
+			k.lane[k.head] = nil
+			if k.head++; k.head == len(k.lane) {
+				k.lane, k.head = k.lane[:0], 0
+			}
+		} else {
+			a = h.pop()
+		}
+		k.now = t
 		k.events++
-		ev.a.Fire()
+		a.Fire()
 		if err := k.err; err != nil {
 			k.err = nil
 			return err
@@ -121,12 +154,15 @@ func (k *Kernel) Run(until Time) (err error) {
 
 // RunAll dispatches events until the calendar is empty.
 func (k *Kernel) RunAll() error {
-	for len(k.heap) > 0 {
-		if err := k.Run(k.heap[0].t); err != nil {
+	for {
+		t, _, ok := k.next()
+		if !ok {
+			return nil
+		}
+		if err := k.Run(t); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // Close stops every coroutine, parked or idle, unwinding parked processes.
@@ -141,7 +177,8 @@ func (k *Kernel) Close() {
 	for _, c := range k.coros {
 		c.stop()
 	}
-	k.coros, k.idle, k.heap = nil, nil, nil
+	k.coros, k.idle = nil, nil
+	k.lane, k.head, k.near, k.far = nil, 0, nil, nil
 }
 
 // fail records the first error of a dispatch for Run to return.
@@ -151,48 +188,71 @@ func (k *Kernel) fail(err error) {
 	}
 }
 
-// --- binary min-heap on (t, seq) ---
+// next reports the time of the earliest entry and the heap holding it,
+// or a nil heap when it is the lane's head; ok is false when the
+// calendar is empty. A heap entry at now goes before the lane.
+func (k *Kernel) next() (t Time, h *eventHeap, ok bool) {
+	h = &k.near
+	if len(k.far) > 0 && (len(k.near) == 0 || k.far[0].before(k.near[0])) {
+		h = &k.far
+	}
+	if len(*h) > 0 && (k.head == len(k.lane) || (*h)[0].t == k.now) {
+		return (*h)[0].t, h, true
+	}
+	return k.now, nil, k.head < len(k.lane)
+}
 
-func (k *Kernel) push(ev event) {
-	k.heap = append(k.heap, ev)
-	i := len(k.heap) - 1
+// before orders calendar entries by (t, seq).
+func (e event) before(o event) bool {
+	return e.t < o.t || e.t == o.t && e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap on (t, seq). Both sifts move a hole
+// rather than swapping pairs, so each level costs one copy.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
+	i := len(s) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(k.heap[i], k.heap[parent]) {
+		p := (i - 1) / 2
+		if !ev.before(s[p]) {
 			break
 		}
-		k.heap[i], k.heap[parent] = k.heap[parent], k.heap[i]
-		i = parent
+		s[i] = s[p]
+		i = p
 	}
+	s[i] = ev
+	*h = s
 }
 
-func (k *Kernel) pop() event {
-	top := k.heap[0]
-	n := len(k.heap) - 1
-	k.heap[0] = k.heap[n]
-	k.heap = k.heap[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && less(k.heap[l], k.heap[smallest]) {
-			smallest = l
+// pop removes the earliest entry and returns its Action. The heap must
+// not be empty.
+func (h *eventHeap) pop() Action {
+	s := *h
+	a := s[0].a
+	n := len(s) - 1
+	last := s[n]
+	s[n] = event{}
+	s = s[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && s[r].before(s[c]) {
+				c = r
+			}
+			if !s[c].before(last) {
+				break
+			}
+			s[i] = s[c]
+			i = c
 		}
-		if r < n && less(k.heap[r], k.heap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		k.heap[i], k.heap[smallest] = k.heap[smallest], k.heap[i]
-		i = smallest
+		s[i] = last
 	}
-	return top
-}
-
-func less(a, b event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
+	*h = s
+	return a
 }
