@@ -46,11 +46,13 @@ trace-guard:
 	$(GO) test -short ./internal/trace/
 
 # Allocation budgets on the block-request path: a warm kernel's spawn,
-# sleep and queue wake, a warm node's hit and miss, and a whole run's
-# allocations per block request. The whole-run budget skips itself under
-# -race, whose instrumentation allocates, so it holds only here.
+# sleep, queue wake and schedule-and-dispatch in each calendar tier, a
+# warm prefetch FIFO's put and get, a warm node's hit and miss, and a
+# whole run's allocations per block request. The whole-run budget skips
+# itself under -race, whose instrumentation allocates, so it holds only
+# here.
 allocs-guard:
-	$(GO) test -count=1 -run Allocations ./internal/sim/ ./internal/server/ ./internal/core/
+	$(GO) test -count=1 -run Allocations ./internal/sim/ ./internal/prefetch/ ./internal/server/ ./internal/core/
 
 # Optional linters: run when installed, skip (without failing) when the
 # environment does not have them — this repo vendors nothing and `make

@@ -62,6 +62,67 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
+// Jobs leave the FIFO in arrival order while the queue wraps around its
+// ring, grows with jobs wrapped, and reuses slots taken earlier.
+func TestFIFOOrderAcrossWrap(t *testing.T) {
+	q := NewFIFO(nil)
+	next, want := 0, 0
+	put := func(n int) {
+		for ; n > 0; n-- {
+			q.Put(Job{Block: next})
+			next++
+		}
+	}
+	get := func(n int) {
+		for ; n > 0; n-- {
+			j, ok := q.Get(nil)
+			if !ok || j.Block != want {
+				t.Fatalf("Get = %d, %v; want %d", j.Block, ok, want)
+			}
+			want++
+		}
+	}
+	// Cycles whose depth swings between 0 and past the ring's length,
+	// so the head wraps and the ring grows while its jobs wrap.
+	for _, c := range [][2]int{{10, 7}, {12, 13}, {20, 5}, {30, 40}, {3, 2}, {50, 26}, {9, 41}} {
+		put(c[0])
+		get(c[1])
+	}
+	if q.n != 0 {
+		t.Fatalf("%d jobs left after the cycles", q.n)
+	}
+	for i, j := range q.ring {
+		if j != (Job{}) {
+			t.Fatalf("slot %d still holds taken job %+v", i, j)
+		}
+	}
+}
+
+// A warm FIFO's Put and Get reuse its ring and allocate nothing.
+func TestFIFOAllocations(t *testing.T) {
+	q := NewFIFO(nil)
+	for i := 0; i < 40; i++ {
+		q.Put(Job{})
+	}
+	for q.n > 0 {
+		q.Get(nil)
+	}
+	block := 0
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 30; i++ {
+			q.Put(Job{Block: block + i})
+		}
+		for i := 0; i < 30; i++ {
+			if j, ok := q.Get(nil); !ok || j.Block != block+i {
+				t.Fatalf("Get = %d, %v; want %d", j.Block, ok, block+i)
+			}
+		}
+		block += 30
+	}); n != 0 {
+		t.Errorf("Put and Get: %v allocs, want 0", n)
+	}
+}
+
 // A worker that finds the FIFO empty is queued, not polled: nothing is
 // on the calendar until a Put, which fires the worker at that instant.
 func TestFIFOPutFiresParkedWorker(t *testing.T) {
