@@ -249,6 +249,7 @@ type Terminal struct {
 	nextReq        int           // next block index to request
 	frontierBlocks int           // contiguous blocks received
 	frontierBytes  int64         // contiguous stream bytes received
+	frontierFrame  int           // FirstIncompleteFrame(frontierBytes), kept with it
 	ooo            map[int]int64 // out-of-order arrivals: block -> size
 	oooBytes       int64
 	outstanding    int64 // requested, not yet arrived
@@ -554,7 +555,8 @@ func (t *Terminal) seekToRandomPosition() {
 	t.nextReq = b0
 	t.frontierBlocks = b0
 	t.frontierBytes = int64(b0) * t.place.BlockSize()
-	t.consumedFrames = t.video.FirstIncompleteFrame(t.frontierBytes)
+	t.frontierFrame = t.video.FirstIncompleteFrame(t.frontierBytes)
+	t.consumedFrames = t.frontierFrame
 	// Drop pauses and seeks scheduled before the resume point.
 	for len(t.pauseFrames) > 0 && t.pauseFrames[0] < t.consumedFrames {
 		t.pauseFrames = t.pauseFrames[1:]
@@ -573,6 +575,7 @@ func (t *Terminal) startMovie(vid int) {
 	t.nextReq = 0
 	t.frontierBlocks = 0
 	t.frontierBytes = 0
+	t.frontierFrame = t.video.FirstIncompleteFrame(0)
 	t.ooo = make(map[int]int64)
 	t.oooBytes = 0
 	t.consumedFrames = 0
@@ -685,7 +688,7 @@ func (t *Terminal) primed() bool {
 	// unreachable in normal operation; blocking here turns a hypothetical
 	// livelock into a visible stall.
 	if t.consumedFrames < t.video.NumFrames() &&
-		t.video.FirstIncompleteFrame(t.frontierBytes) <= t.consumedFrames {
+		t.frontierFrame <= t.consumedFrames {
 		return false
 	}
 	return true
@@ -705,7 +708,7 @@ func (t *Terminal) waitPrimed(p *sim.Proc) {
 func (t *Terminal) displayUntilStall(p *sim.Proc) stallReason {
 	period := sim.Time(t.video.FramePeriod())
 	for {
-		f := t.video.FirstIncompleteFrame(t.frontierBytes) // stall frame
+		f := t.frontierFrame // stall frame
 
 		// A scheduled seek before the stall point (and before any pause)
 		// interrupts display.
@@ -743,7 +746,7 @@ func (t *Terminal) displayUntilStall(p *sim.Proc) stallReason {
 		if f == t.video.NumFrames() {
 			return stallFinished
 		}
-		if t.video.FirstIncompleteFrame(t.frontierBytes) > f {
+		if t.frontierFrame > f {
 			continue // arrivals extended the frontier; keep displaying
 		}
 		return stallGlitch // dry at frame f
@@ -756,8 +759,8 @@ func (t *Terminal) syncConsumption() {
 		return
 	}
 	f := t.video.FramesDisplayedBy(t.k.Now().Sub(t.displayStart))
-	if cap := t.video.FirstIncompleteFrame(t.frontierBytes); f > cap {
-		f = cap
+	if f > t.frontierFrame {
+		f = t.frontierFrame
 	}
 	if f > t.consumedFrames {
 		t.consumedFrames = f
@@ -1099,6 +1102,7 @@ func (t *Terminal) admit(block int, size int64) {
 	}
 	t.ooo[block] = size
 	t.oooBytes += size
+	from := t.frontierBlocks
 	for {
 		sz, ok := t.ooo[t.frontierBlocks]
 		if !ok {
@@ -1115,6 +1119,9 @@ func (t *Terminal) admit(block int, size int64) {
 			// more can be forwarded (core/merge.go ignores the rest).
 			t.cfg.Merger.Advance(t, t.vid, b)
 		}
+	}
+	if t.frontierBlocks != from {
+		t.frontierFrame = t.video.FirstIncompleteFrame(t.frontierBytes)
 	}
 }
 

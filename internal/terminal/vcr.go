@@ -148,7 +148,8 @@ func (t *Terminal) repositionTo(block int) {
 	t.ooo = make(map[int]int64)
 	t.oooBytes = 0
 	t.nextReq = block
-	t.consumedFrames = t.video.FirstIncompleteFrame(t.frontierBytes)
+	t.frontierFrame = t.video.FirstIncompleteFrame(t.frontierBytes)
+	t.consumedFrames = t.frontierFrame
 	t.wakeFetcher()
 }
 

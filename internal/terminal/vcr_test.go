@@ -1,8 +1,10 @@
 package terminal
 
 import (
+	"fmt"
 	"testing"
 
+	"spiffi/internal/proto"
 	"spiffi/internal/sim"
 )
 
@@ -132,5 +134,60 @@ func TestPoissonMean(t *testing.T) {
 	mean := float64(sum) / draws
 	if mean < 2.9 || mean > 3.1 {
 		t.Fatalf("poisson(3) sample mean = %v", mean)
+	}
+}
+
+// frontierFrame stays equal to the frame its frontier bytes complete,
+// checked after every arrival and every few milliseconds: through
+// in-order arrivals, out-of-order runs, seeks, a random initial position
+// and movie changes.
+func TestFrontierFrameTracksFrontier(t *testing.T) {
+	for _, random := range []bool{false, true} {
+		r := newRig(t, vcrCfg(false), 0)
+		term := r.term
+		var bad string
+		var checks, oooSeen int
+		check := func() {
+			checks++
+			if len(term.ooo) > 0 {
+				oooSeen++
+			}
+			if want := term.video.FirstIncompleteFrame(term.frontierBytes); term.frontierFrame != want && bad == "" {
+				bad = fmt.Sprintf("at %v: frontierFrame = %d, FirstIncompleteFrame(%d) = %d",
+					r.k.Now(), term.frontierFrame, term.frontierBytes, want)
+			}
+		}
+		// Even blocks answer slowly and odd ones quickly, so requests
+		// issued together arrive out of order.
+		term.send = func(node int, req *proto.BlockRequest) {
+			d := 5 * sim.Millisecond
+			if req.Block%2 == 0 {
+				d = 40 * sim.Millisecond
+			}
+			r.k.After(d, func() {
+				req.Deliver(req)
+				check()
+			})
+		}
+		var tick func()
+		tick = func() {
+			check()
+			r.k.After(7*sim.Millisecond, tick)
+		}
+		term.cfg.RandomInitialPosition = random
+		term.Start(0)
+		r.k.After(0, tick)
+		if err := r.k.Run(sim.Time(3 * sim.Minute)); err != nil {
+			t.Fatal(err)
+		}
+		r.k.Close()
+		st := term.Stats()
+		if bad != "" {
+			t.Fatalf("random=%v: %s", random, bad)
+		}
+		if st.Seeks == 0 || st.MoviesStarted < 2 || oooSeen == 0 {
+			t.Fatalf("random=%v: seeks=%d movies started=%d out-of-order checks=%d of %d: the drive missed a case",
+				random, st.Seeks, st.MoviesStarted, oooSeen, checks)
+		}
 	}
 }
