@@ -166,17 +166,31 @@ func (v *Video) BytesBeforeFrame(i int) int64 { return v.cum[i] }
 // frame f's data is NOT fully contained in the first `frontier` bytes of
 // the stream; i.e. frames [0, f) are displayable. If the whole video fits,
 // it returns NumFrames.
-func (v *Video) FirstIncompleteFrame(frontier int64) int {
-	// Find first index i with cum[i+1] > frontier.
-	i := sort.Search(v.NumFrames(), func(f int) bool { return v.cum[f+1] > frontier })
-	return i
+//
+// from is a lower bound on the answer: every frame before it must be
+// complete within frontier (0 always is). The search gallops forward
+// from it, so a caller that knows an answer for fewer bytes pays only
+// for the frames between the two.
+func (v *Video) FirstIncompleteFrame(frontier int64, from int) int {
+	n := v.NumFrames()
+	lo, hi := from, n
+	for step := 1; lo < n; step *= 2 {
+		probe := min(lo+step-1, n-1)
+		if v.cum[probe+1] > frontier {
+			hi = probe
+			break
+		}
+		lo = probe + 1
+	}
+	// The answer is the first f in [lo, hi) with cum[f+1] > frontier, or hi.
+	return lo + sort.Search(hi-lo, func(i int) bool { return v.cum[lo+i+1] > frontier })
 }
 
 // FramesSpanned returns how many whole frames complete within the byte
 // range [lo, hi) — the frames a viewer loses when a degraded stream
 // skips that range (overload load shedding).
 func (v *Video) FramesSpanned(lo, hi int64) int {
-	n := v.FirstIncompleteFrame(hi) - v.FirstIncompleteFrame(lo)
+	n := v.FirstIncompleteFrame(hi, 0) - v.FirstIncompleteFrame(lo, 0)
 	if n < 0 {
 		return 0
 	}

@@ -116,20 +116,20 @@ func TestNumFramesAndDuration(t *testing.T) {
 func TestFirstIncompleteFrame(t *testing.T) {
 	v := Generate(shortParams(), 0, 42)
 	// Zero bytes buffered: frame 0 is incomplete.
-	if got := v.FirstIncompleteFrame(0); got != 0 {
-		t.Fatalf("FirstIncompleteFrame(0) = %d", got)
+	if got := v.FirstIncompleteFrame(0, 0); got != 0 {
+		t.Fatalf("FirstIncompleteFrame(0, 0) = %d", got)
 	}
 	// Exactly the first three frames buffered.
 	fr := v.BytesBeforeFrame(3)
-	if got := v.FirstIncompleteFrame(fr); got != 3 {
-		t.Fatalf("FirstIncompleteFrame(cum3) = %d, want 3", got)
+	if got := v.FirstIncompleteFrame(fr, 0); got != 3 {
+		t.Fatalf("FirstIncompleteFrame(cum3, 0) = %d, want 3", got)
 	}
 	// One byte short of frame 3's completion.
-	if got := v.FirstIncompleteFrame(v.BytesBeforeFrame(4) - 1); got != 3 {
+	if got := v.FirstIncompleteFrame(v.BytesBeforeFrame(4)-1, 0); got != 3 {
 		t.Fatalf("one byte short = %d, want 3", got)
 	}
 	// Whole video buffered.
-	if got := v.FirstIncompleteFrame(v.TotalBytes()); got != v.NumFrames() {
+	if got := v.FirstIncompleteFrame(v.TotalBytes(), 0); got != v.NumFrames() {
 		t.Fatalf("whole video = %d, want %d", got, v.NumFrames())
 	}
 }
@@ -138,7 +138,7 @@ func TestFirstIncompleteFrameProperty(t *testing.T) {
 	v := Generate(shortParams(), 7, 42)
 	f := func(raw uint32) bool {
 		frontier := int64(raw) % (v.TotalBytes() + 1)
-		f := v.FirstIncompleteFrame(frontier)
+		f := v.FirstIncompleteFrame(frontier, 0)
 		// All frames before f fit; frame f itself (if any) does not.
 		if v.BytesBeforeFrame(f) > frontier {
 			return false
@@ -150,6 +150,35 @@ func TestFirstIncompleteFrameProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A lower bound only shortens the search: for every frame boundary of a
+// small video, every offset one byte either side of one, and every valid
+// lower bound, the bounded search agrees with the unbounded one and with
+// a linear scan.
+func TestFirstIncompleteFrameLowerBound(t *testing.T) {
+	p := shortParams()
+	p.Length = 3 * sim.Second
+	v := Generate(p, 3, 42)
+	for i := 0; i <= v.NumFrames(); i++ {
+		for _, off := range []int64{v.BytesBeforeFrame(i) - 1, v.BytesBeforeFrame(i), v.BytesBeforeFrame(i) + 1} {
+			if off < 0 || off > v.TotalBytes() {
+				continue
+			}
+			want := 0
+			for want < v.NumFrames() && v.BytesBeforeFrame(want+1) <= off {
+				want++
+			}
+			if got := v.FirstIncompleteFrame(off, 0); got != want {
+				t.Fatalf("FirstIncompleteFrame(%d, 0) = %d, linear scan says %d", off, got, want)
+			}
+			for from := 0; from <= want; from++ {
+				if got := v.FirstIncompleteFrame(off, from); got != want {
+					t.Fatalf("FirstIncompleteFrame(%d, %d) = %d, unbounded %d", off, from, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -233,7 +262,7 @@ func BenchmarkFirstIncompleteFrame(b *testing.B) {
 	total := v.TotalBytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.FirstIncompleteFrame(int64(i) % total)
+		v.FirstIncompleteFrame(int64(i)%total, 0)
 	}
 }
 

@@ -152,8 +152,8 @@ func TestFrontierFrameTracksFrontier(t *testing.T) {
 			if len(term.ooo) > 0 {
 				oooSeen++
 			}
-			if want := term.video.FirstIncompleteFrame(term.frontierBytes); term.frontierFrame != want && bad == "" {
-				bad = fmt.Sprintf("at %v: frontierFrame = %d, FirstIncompleteFrame(%d) = %d",
+			if want := term.video.FirstIncompleteFrame(term.frontierBytes, 0); term.frontierFrame != want && bad == "" {
+				bad = fmt.Sprintf("at %v: frontierFrame = %d, FirstIncompleteFrame(%d, 0) = %d",
 					r.k.Now(), term.frontierFrame, term.frontierBytes, want)
 			}
 		}
