@@ -61,14 +61,16 @@ func (a Analysis) WorstCaseTerminals() int { return a.terminalsAt(a.WorstCaseAcc
 // ignoring scheduling gains (elevator batching) and buffer-pool sharing.
 func (a Analysis) ExpectedCaseTerminals() int { return a.terminalsAt(a.ExpectedAccess()) }
 
-// waiter is one stream blocked in the admission queue, parked on its own
-// queue. admitted and rejected resolve the race between a slot handoff
-// and the patience timer: whichever fires first marks the waiter, the
-// other is a no-op.
+// waiter is one stream queued for a slot. admitted and rejected resolve
+// the race between a slot handoff and the patience timer: whichever
+// comes first marks the waiter and schedules it, the other is a no-op.
+// The waiter is the Action that ends the wait.
 type waiter struct {
-	q        sim.Queue
+	c        *Controller
 	terminal int
+	failover bool
 	enq      sim.Time
+	done     func(admitted bool)
 	admitted bool
 	rejected bool
 }
@@ -76,10 +78,9 @@ type waiter struct {
 // Controller is a runtime admission controller: it caps concurrently
 // active streams at a limit ("the risk of glitches can be made
 // arbitrarily low by limiting the maximum number of terminals", §4).
-// Terminals block in Admit until a slot frees or their patience
-// expires, in which case they are rejected (NACKed) and Admit returns
-// false. The limit can be moved at runtime (SetLimit) by the overload
-// controller's capacity estimator.
+// Streams queue in Admit until a slot frees or their patience expires,
+// in which case they are rejected (NACKed). The limit can be moved at
+// runtime (SetLimit) by the overload controller's capacity estimator.
 type Controller struct {
 	k        *sim.Kernel
 	limit    int
@@ -113,8 +114,8 @@ func NewController(k *sim.Kernel, limit int) *Controller {
 // SetTrace attaches a trace recorder (nil is fine: emits become no-ops).
 func (c *Controller) SetTrace(rec *trace.Recorder) { c.rec = rec }
 
-// SetPatience bounds how long Admit waits before rejecting (0 = wait
-// forever).
+// SetPatience bounds how long a queued stream waits before it is
+// rejected (0 = wait forever).
 func (c *Controller) SetPatience(d sim.Duration) {
 	if d < 0 {
 		d = 0
@@ -122,35 +123,33 @@ func (c *Controller) SetPatience(d sim.Duration) {
 	c.patience = d
 }
 
-// Admit claims a stream slot, blocking while the controller is at its
-// limit. It returns true once a slot is held, false if the stream's
-// patience expired in the queue (the NACK-on-reject path — the caller
-// backs off and may retry). terminal identifies the stream in traces.
-func (c *Controller) Admit(p *sim.Proc, terminal int) bool {
-	return c.admit(p, terminal, false)
+// Admit claims a stream slot and reports whether one was free. If the
+// controller is at its limit the stream queues instead, and done runs
+// in kernel context at the instant the wait ends: with true once a
+// released slot (or a limit raise) is handed to it, or false if its
+// patience expired first (the NACK-on-reject path — the caller backs
+// off and may retry). terminal identifies the stream in traces.
+func (c *Controller) Admit(terminal int, done func(admitted bool)) bool {
+	return c.admit(terminal, false, done)
 }
 
 // AdmitFailover claims a stream slot for a session migrating off a
 // crashed node. It behaves like Admit — same patience, same NACK path —
 // but queues ahead of every normal arrival: survivors' spare capacity
 // goes to keeping running sessions alive before starting new ones.
-func (c *Controller) AdmitFailover(p *sim.Proc, terminal int) bool {
-	return c.admit(p, terminal, true)
+func (c *Controller) AdmitFailover(terminal int, done func(admitted bool)) bool {
+	return c.admit(terminal, true, done)
 }
 
-func (c *Controller) admit(p *sim.Proc, terminal int, failover bool) bool {
+func (c *Controller) admit(terminal int, failover bool, done func(bool)) bool {
 	if c.active < c.limit {
 		c.active++
-		c.Admitted++
-		if failover {
-			c.FailoverAdmitted++
-		}
-		c.rec.AdmAdmit(terminal, c.active, c.limit)
+		c.countAdmit(terminal, failover)
 		return true
 	}
 	c.Waited++
 	c.rec.AdmWait(terminal, c.active, c.limit)
-	w := &waiter{terminal: terminal, enq: c.k.Now()}
+	w := &waiter{c: c, terminal: terminal, failover: failover, enq: c.k.Now(), done: done}
 	if failover {
 		c.prio = append(c.prio, w)
 	} else {
@@ -159,24 +158,36 @@ func (c *Controller) admit(p *sim.Proc, terminal int, failover bool) bool {
 	if c.patience > 0 {
 		c.k.After(c.patience, func() { c.expire(w) })
 	}
-	w.q.Wait(p)
-	wait := c.k.Now().Sub(w.enq)
-	c.WaitSum += wait
-	if w.rejected {
-		c.Rejected++
-		if failover {
-			c.FailoverRejected++
-		}
-		c.rec.AdmReject(terminal, c.active, c.limit, wait)
-		return false
-	}
-	// The releaser (or a limit raise) transferred a slot to us.
+	return false
+}
+
+// countAdmit records a stream taking a slot.
+func (c *Controller) countAdmit(terminal int, failover bool) {
 	c.Admitted++
 	if failover {
 		c.FailoverAdmitted++
 	}
 	c.rec.AdmAdmit(terminal, c.active, c.limit)
-	return true
+}
+
+// Fire ends w's wait, at the instant a slot handoff or the patience
+// timer scheduled it, and passes the outcome to its done.
+func (w *waiter) Fire() {
+	c := w.c
+	wait := c.k.Now().Sub(w.enq)
+	c.WaitSum += wait
+	if w.rejected {
+		c.Rejected++
+		if w.failover {
+			c.FailoverRejected++
+		}
+		c.rec.AdmReject(w.terminal, c.active, c.limit, wait)
+		w.done(false)
+		return
+	}
+	// The releaser (or a limit raise) transferred a slot to us.
+	c.countAdmit(w.terminal, w.failover)
+	w.done(true)
 }
 
 // popWaiter dequeues the next stream to hand a slot to: the oldest
@@ -210,7 +221,7 @@ func (c *Controller) expire(w *waiter) {
 		}
 	}
 	w.rejected = true
-	w.q.Signal()
+	c.k.Schedule(c.k.Now(), w)
 }
 
 // Release returns a stream slot. While the admitted population is
@@ -229,7 +240,7 @@ func (c *Controller) Release(terminal int) {
 		if w := c.popWaiter(); w != nil {
 			w.admitted = true
 			c.rec.AdmRelease(terminal, c.active, c.limit)
-			w.q.Signal()
+			c.k.Schedule(c.k.Now(), w)
 			return
 		}
 	}
@@ -252,7 +263,7 @@ func (c *Controller) SetLimit(n int) {
 		}
 		w.admitted = true
 		c.active++
-		w.q.Signal()
+		c.k.Schedule(c.k.Now(), w)
 	}
 }
 

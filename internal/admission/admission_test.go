@@ -60,20 +60,44 @@ func TestWorstCaseAccessComposition(t *testing.T) {
 	}
 }
 
+// ask claims a slot for terminal id the way a terminal does and calls
+// then with the outcome: at once when a slot is free, else when the
+// queued wait ends.
+func ask(c *Controller, id int, failover bool, then func(admitted bool)) {
+	claim := c.Admit
+	if failover {
+		claim = c.AdmitFailover
+	}
+	if claim(id, then) {
+		then(true)
+	}
+}
+
+// stream claims a slot for terminal id at `at`, calls admitted with the
+// outcome, and releases the slot `hold` after it was granted.
+func stream(k *sim.Kernel, c *Controller, at sim.Time, id int, failover bool, hold sim.Duration, admitted func(bool)) {
+	k.At(at, func() {
+		ask(c, id, failover, func(ok bool) {
+			if admitted != nil {
+				admitted(ok)
+			}
+			if ok {
+				k.After(hold, func() { c.Release(id) })
+			}
+		})
+	})
+}
+
 func TestControllerCapsConcurrency(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	c := NewController(k, 2)
 	peak := 0
 	for i := 0; i < 5; i++ {
-		i := i
-		k.Spawn("stream", func(p *sim.Proc) {
-			c.Admit(p, i)
+		stream(k, c, 0, i, false, 10*sim.Millisecond, func(bool) {
 			if c.Active() > peak {
 				peak = c.Active()
 			}
-			p.Sleep(10 * sim.Millisecond)
-			c.Release(i)
 		})
 	}
 	if err := k.RunAll(); err != nil {
@@ -100,11 +124,8 @@ func TestControllerFIFOHandoff(t *testing.T) {
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		k.SpawnAt(sim.Time(i), "s", func(p *sim.Proc) {
-			c.Admit(p, i)
+		stream(k, c, sim.Time(i), i, false, 10*sim.Millisecond, func(bool) {
 			order = append(order, i)
-			p.Sleep(10 * sim.Millisecond)
-			c.Release(i)
 		})
 	}
 	if err := k.RunAll(); err != nil {
@@ -117,9 +138,9 @@ func TestControllerFIFOHandoff(t *testing.T) {
 	}
 }
 
-// A queued stream whose patience expires is rejected: Admit returns
-// false after exactly the patience wait, the queue is cleaned up, and
-// no slot is consumed.
+// A queued stream whose patience expires is rejected: its wait ends with
+// false after exactly the patience, the queue is cleaned up, and no slot
+// is consumed.
 func TestControllerPatienceReject(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
@@ -127,15 +148,13 @@ func TestControllerPatienceReject(t *testing.T) {
 	c.SetPatience(100 * sim.Millisecond)
 	var first, second bool
 	var wait sim.Duration
-	k.Spawn("holder", func(p *sim.Proc) {
-		first = c.Admit(p, 0)
-		p.Sleep(sim.Second) // outlives the waiter's patience
-		c.Release(0)
-	})
-	k.SpawnAt(sim.Time(sim.Millisecond), "waiter", func(p *sim.Proc) {
+	stream(k, c, 0, 0, false, sim.Second, func(ok bool) { first = ok }) // outlives the waiter's patience
+	k.At(sim.Time(sim.Millisecond), func() {
 		enq := k.Now()
-		second = c.Admit(p, 1)
-		wait = k.Now().Sub(enq)
+		ask(c, 1, false, func(ok bool) {
+			second = ok
+			wait = k.Now().Sub(enq)
+		})
 	})
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
@@ -167,10 +186,12 @@ func TestControllerSetLimit(t *testing.T) {
 	admitted := 0
 	for i := 0; i < 3; i++ {
 		i := i
-		k.SpawnAt(sim.Time(i), "s", func(p *sim.Proc) {
-			if c.Admit(p, i) {
-				admitted++
-			}
+		k.At(sim.Time(i), func() {
+			ask(c, i, false, func(ok bool) {
+				if ok {
+					admitted++
+				}
+			})
 		})
 	}
 	k.At(sim.Time(10), func() { c.SetLimit(3) })
@@ -202,23 +223,16 @@ func TestControllerReleaseDrainsToLoweredLimit(t *testing.T) {
 	c := NewController(k, 4)
 	admitActive := make(map[int]int) // waiter terminal -> Active() at its admit
 	for i := 0; i < 4; i++ {
-		i := i
-		k.Spawn("holder", func(p *sim.Proc) {
-			c.Admit(p, i)
-			p.Sleep(sim.Duration(i+1) * 10 * sim.Millisecond)
-			c.Release(i)
-		})
+		stream(k, c, 0, i, false, sim.Duration(i+1)*10*sim.Millisecond, nil)
 	}
 	for i := 4; i < 6; i++ {
 		i := i
-		k.SpawnAt(sim.Time(sim.Millisecond), "waiter", func(p *sim.Proc) {
-			if !c.Admit(p, i) {
+		stream(k, c, sim.Time(sim.Millisecond), i, false, 100*sim.Millisecond, func(ok bool) {
+			if !ok {
 				t.Errorf("waiter %d rejected without patience configured", i)
 				return
 			}
 			admitActive[i] = c.Active()
-			p.Sleep(100 * sim.Millisecond)
-			c.Release(i)
 		})
 	}
 	k.At(sim.Time(5*sim.Millisecond), func() { c.SetLimit(2) })
@@ -250,12 +264,7 @@ func TestControllerTraceEvents(t *testing.T) {
 	c := NewController(k, 1)
 	c.SetTrace(rec)
 	for i := 0; i < 2; i++ {
-		i := i
-		k.SpawnAt(sim.Time(i), "s", func(p *sim.Proc) {
-			c.Admit(p, i)
-			p.Sleep(5 * sim.Millisecond)
-			c.Release(i)
-		})
+		stream(k, c, sim.Time(i), i, false, 5*sim.Millisecond, nil)
 	}
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
@@ -288,27 +297,18 @@ func TestControllerFailoverPriority(t *testing.T) {
 	defer k.Close()
 	c := NewController(k, 1)
 	var order []int
-	k.Spawn("holder", func(p *sim.Proc) {
-		c.Admit(p, 0)
-		p.Sleep(100 * sim.Millisecond)
-		c.Release(0)
-	})
+	stream(k, c, 0, 0, false, 100*sim.Millisecond, nil)
 	for i := 1; i <= 2; i++ {
 		i := i
-		k.SpawnAt(sim.Time(i)*sim.Time(sim.Millisecond), "normal", func(p *sim.Proc) {
-			c.Admit(p, i)
+		stream(k, c, sim.Time(i)*sim.Time(sim.Millisecond), i, false, 50*sim.Millisecond, func(bool) {
 			order = append(order, i)
-			p.Sleep(50 * sim.Millisecond)
-			c.Release(i)
 		})
 	}
-	k.SpawnAt(sim.Time(10*sim.Millisecond), "failover", func(p *sim.Proc) {
-		if !c.AdmitFailover(p, 9) {
+	stream(k, c, sim.Time(10*sim.Millisecond), 9, true, 50*sim.Millisecond, func(ok bool) {
+		if !ok {
 			t.Error("failover re-admission rejected")
 		}
 		order = append(order, 9)
-		p.Sleep(50 * sim.Millisecond)
-		c.Release(9)
 	})
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
@@ -334,15 +334,9 @@ func TestControllerFailoverPatienceReject(t *testing.T) {
 	defer k.Close()
 	c := NewController(k, 1)
 	c.SetPatience(100 * sim.Millisecond)
-	var got bool
-	k.Spawn("holder", func(p *sim.Proc) {
-		c.Admit(p, 0)
-		p.Sleep(sim.Second)
-		c.Release(0)
-	})
-	k.SpawnAt(sim.Time(sim.Millisecond), "failover", func(p *sim.Proc) {
-		got = c.AdmitFailover(p, 1)
-	})
+	got := true
+	stream(k, c, 0, 0, false, sim.Second, nil)
+	stream(k, c, sim.Time(sim.Millisecond), 1, true, 0, func(ok bool) { got = ok })
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,19 @@ func runInProc(t *testing.T, fn func(p *sim.Proc)) {
 // process waits until the pool fires the continuation Acquire queued.
 func acquire(p *sim.Proc, b *Pool, id PageID, terminal int, prefetch bool) (*Page, Outcome) {
 	for {
-		var freed sim.Event
-		if pg, out := b.Acquire(sim.Func(freed.Fire), id, terminal, prefetch); pg != nil {
+		var freed sim.Queue
+		if pg, out := b.Acquire(sim.Func(func() { freed.Signal() }), id, terminal, prefetch); pg != nil {
 			return pg, out
 		}
 		freed.Wait(p)
+	}
+}
+
+// awaitReady parks test process p until pg's fetch completes.
+func awaitReady(p *sim.Proc, k *sim.Kernel, pg *Page) {
+	var ready sim.Queue
+	if !pg.Ready.Then(k, sim.Func(func() { ready.Signal() })) {
+		ready.Wait(p)
 	}
 }
 
@@ -87,7 +95,7 @@ func TestInFlightSecondRequesterWaits(t *testing.T) {
 		if out != InFlight {
 			t.Errorf("out = %v, want InFlight", out)
 		}
-		pg.Ready.Wait(p)
+		awaitReady(p, k, pg)
 		if !pg.Valid() {
 			t.Error("page not valid after Ready")
 		}

@@ -134,7 +134,7 @@ type perVideo struct {
 }
 
 // Cache is one node's prefix cache. It is not safe for concurrent use;
-// the simulation kernel runs one process at a time, which is the only
+// the simulation kernel runs one Action at a time, which is the only
 // caller.
 type Cache struct {
 	budget       int64

@@ -23,8 +23,8 @@ type piggyCoordinator struct {
 
 type piggyBatch struct {
 	leader  int
-	closed  *sim.Event
 	members int
+	closed  sim.Queue // every member, scheduled when the batch closes
 }
 
 func newPiggyCoordinator(k *sim.Kernel, delay sim.Duration) *piggyCoordinator {
@@ -32,19 +32,19 @@ func newPiggyCoordinator(k *sim.Kernel, delay sim.Duration) *piggyCoordinator {
 }
 
 // JoinOrLead implements terminal.StartCoordinator.
-func (c *piggyCoordinator) JoinOrLead(p *sim.Proc, term, video int) bool {
+func (c *piggyCoordinator) JoinOrLead(a sim.Action, term, video int) bool {
 	b, ok := c.open[video]
 	if !ok {
-		b = &piggyBatch{leader: term, closed: new(sim.Event)}
+		b = &piggyBatch{leader: term}
 		c.open[video] = b
 		c.k.After(c.delay, func() {
 			delete(c.open, video)
 			c.Batches++
 			c.Riders += int64(b.members)
-			b.closed.Fire()
+			b.closed.Broadcast()
 		})
 	}
 	b.members++
-	b.closed.Wait(p)
+	b.closed.Add(c.k, a)
 	return term == b.leader
 }

@@ -27,9 +27,11 @@ func TestPiggyBatchLeaderAndRiders(t *testing.T) {
 		{2, 9, sim.Time(1 * sim.Second)},
 	} {
 		tc := tc
-		k.SpawnAt(tc.at, "t", func(p *sim.Proc) {
-			leader := c.JoinOrLead(p, tc.term, tc.video)
-			got = append(got, outcome{tc.term, leader, p.Now()})
+		k.At(tc.at, func() {
+			var leader bool
+			leader = c.JoinOrLead(sim.Func(func() {
+				got = append(got, outcome{tc.term, leader, k.Now()})
+			}), tc.term, tc.video)
 		})
 	}
 	if err := k.RunAll(); err != nil {
@@ -66,10 +68,13 @@ func TestPiggyNewBatchAfterClose(t *testing.T) {
 	var leaders int
 	for _, at := range []sim.Time{0, sim.Time(20 * sim.Second)} {
 		at := at
-		k.SpawnAt(at, "t", func(p *sim.Proc) {
-			if c.JoinOrLead(p, int(at), 3) {
-				leaders++
-			}
+		k.At(at, func() {
+			var leader bool
+			leader = c.JoinOrLead(sim.Func(func() {
+				if leader {
+					leaders++
+				}
+			}), int(at), 3)
 		})
 	}
 	if err := k.RunAll(); err != nil {

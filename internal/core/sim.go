@@ -194,8 +194,8 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	}
 	if ov.RebuildRate > 0 {
 		s.reb = overload.NewRebuilder(s.k, s.place, ov.RebuildRate,
-			func(p *sim.Proc, g int, offset, size int64) bool {
-				return s.nodes[g/cfg.DisksPerNode].RebuildIO(p, g%cfg.DisksPerNode, offset, size)
+			func(g int, offset, size int64, done func(bool)) {
+				s.nodes[g/cfg.DisksPerNode].RebuildIO(g%cfg.DisksPerNode, offset, size, done)
 			})
 		s.reb.SetTrace(s.rec)
 		for _, n := range s.nodes {

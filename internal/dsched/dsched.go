@@ -4,7 +4,7 @@
 // deadline-driven priority algorithm.
 //
 // A Scheduler holds pending requests for one disk; the disk's service
-// process calls Next after every completed access, so algorithms that
+// loop calls Next after every completed access, so algorithms that
 // recompute priorities "after each disk access" (the real-time algorithm)
 // do so naturally.
 package dsched

@@ -72,7 +72,7 @@ func (n *Network) Send(size int64, deliver func()) { n.SendAction(size, sim.Func
 // delay by firing a in kernel context. A message that is its own Action
 // (a block request) rides the wire without a delivery closure. Bandwidth
 // is metered at send time. SendAction never blocks and may be called from
-// kernel context or any process; CPU send/receive costs are charged by
+// any Action in kernel context; CPU send/receive costs are charged by
 // the endpoints, not here.
 func (n *Network) SendAction(size int64, a sim.Action) {
 	n.meter.Record(n.k.Now().Seconds(), float64(size))

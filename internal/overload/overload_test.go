@@ -165,9 +165,9 @@ func TestRebuilderNeverCopiesFromStaleSource(t *testing.T) {
 	place := layout.NewStriped(sizes, 1024*1024, 1, 2)
 	place.Mirror()
 	var ios int
-	r := NewRebuilder(k, place, 8*1024*1024, func(p *sim.Proc, g int, offset, size int64) bool {
+	r := NewRebuilder(k, place, 8*1024*1024, func(g int, offset, size int64, done func(bool)) {
 		ios++
-		return true
+		done(true)
 	})
 	r.OnRepair(0, 10*sim.Second)
 	r.OnRepair(1, 10*sim.Second)
@@ -199,8 +199,8 @@ func TestRebuilderWaitsForStaleSource(t *testing.T) {
 	sizes := []int64{4 * 1024 * 1024}
 	place := layout.NewStriped(sizes, 1024*1024, 1, 2)
 	place.Mirror()
-	r := NewRebuilder(k, place, 8*1024*1024, func(p *sim.Proc, g int, offset, size int64) bool {
-		return true
+	r := NewRebuilder(k, place, 8*1024*1024, func(g int, offset, size int64, done func(bool)) {
+		done(true)
 	})
 	// Simulate an overlapping rebuild on the mirror disk: every copy on
 	// disk 1 (the sources for disk 0's pass) is stale until t=30s.
@@ -244,9 +244,9 @@ func TestRebuilderMarksAndClears(t *testing.T) {
 	place := layout.NewStriped(sizes, 1024*1024, 2, 2)
 	place.Mirror()
 	var ios int
-	r := NewRebuilder(k, place, 8*1024*1024, func(p *sim.Proc, g int, offset, size int64) bool {
+	r := NewRebuilder(k, place, 8*1024*1024, func(g int, offset, size int64, done func(bool)) {
 		ios++
-		return true
+		done(true)
 	})
 	want := 0
 	for v := 0; v < place.NumVideos(); v++ {

@@ -528,27 +528,37 @@ func (n *Node) maybeRestart(at sim.Time) {
 // (nil = no staleness modeling).
 func (n *Node) SetStaleCheck(fn func(video, block, copy int) bool) { n.stale = fn }
 
-// RebuildIO performs one background mirror-reconstruction transfer on
-// a local disk through the non-real-time queue class (infinite
-// deadline, prefetch priority) and reports success. It blocks the
-// calling proc for the disk service time; a failed or crashed disk
-// fails the transfer immediately.
-func (n *Node) RebuildIO(p *sim.Proc, diskLocal int, offset, size int64) bool {
-	ctx := new(diskCtx)
+// RebuildIO starts one background mirror-reconstruction transfer on a
+// local disk through the non-real-time queue class (infinite deadline,
+// prefetch priority) and calls done with its success at the end of the
+// disk service. A failed or crashed disk fails the transfer at once,
+// and done runs before RebuildIO returns.
+func (n *Node) RebuildIO(diskLocal int, offset, size int64, done func(ok bool)) {
+	io := &rebuildIO{done: done}
 	// The sentinel page id never collides with inflight demand fetches,
 	// so onDiskComplete just fires the event.
-	dr := ctx.arm(bufferpool.PageID{Video: -1, Block: -1}, dsched.Request{
+	n.disks[diskLocal].Submit(io.disk.arm(bufferpool.PageID{Video: -1, Block: -1}, dsched.Request{
 		Offset:   offset,
 		Size:     size,
 		Deadline: sim.TimeInfinity,
 		Terminal: -1,
 		Prefetch: true,
 		Rebuild:  true,
-	})
-	n.disks[diskLocal].Submit(dr)
-	ctx.done.Wait(p)
-	return !dr.Failed
+	}))
+	if io.disk.done.Then(n.k, io) {
+		io.Fire()
+	}
 }
+
+// rebuildIO is one RebuildIO transfer: its disk read and the
+// continuation its end resumes.
+type rebuildIO struct {
+	disk diskCtx
+	done func(ok bool)
+}
+
+// Fire passes the transfer's outcome to done.
+func (io *rebuildIO) Fire() { io.done(!io.disk.req.Failed) }
 
 // onDiskComplete runs in simulation context when a disk read finishes.
 func (n *Node) onDiskComplete(r *dsched.Request) {

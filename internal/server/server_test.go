@@ -300,22 +300,23 @@ func TestSequentialStreamMostlyPoolHits(t *testing.T) {
 	r := newRig(t, baseCfg())
 	defer r.k.Close()
 	k := r.k
-	k.Spawn("stream", func(p *sim.Proc) {
-		for b := 0; b < 32; b++ {
-			done := new(sim.Event)
-			req := &proto.BlockRequest{
-				Video: 0, Block: b,
-				Size:     r.place.SizeOfBlock(0, b),
-				Deadline: k.Now().Add(4 * sim.Second),
-				Terminal: 1,
-				Deliver:  func(*proto.BlockRequest) { done.Fire() },
-				Issued:   k.Now(),
-			}
-			r.node.DeliverRequest(req)
-			done.Wait(p)
-			p.Sleep(250 * sim.Millisecond) // ~steady stream pacing
-		}
-	})
+	// Each reply paces the next request ~250 ms later (a steady stream).
+	var request func(b int)
+	request = func(b int) {
+		r.node.DeliverRequest(&proto.BlockRequest{
+			Video: 0, Block: b,
+			Size:     r.place.SizeOfBlock(0, b),
+			Deadline: k.Now().Add(4 * sim.Second),
+			Terminal: 1,
+			Deliver: func(*proto.BlockRequest) {
+				if b+1 < 32 {
+					k.After(250*sim.Millisecond, func() { request(b + 1) })
+				}
+			},
+			Issued: k.Now(),
+		})
+	}
+	k.At(0, func() { request(0) })
 	if err := k.Run(sim.Time(60 * sim.Second)); err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,8 @@ type event struct {
 // under it and are popped soon after they are pushed.
 const farAhead = 100 * Millisecond
 
-// Kernel is the simulation executive: an event calendar plus the
-// coroutines that run processes one at a time.
+// Kernel is the simulation executive: an event calendar, plus the
+// coroutines of any processes started with Spawn.
 //
 // The calendar dispatches in (time, seq) order from three tiers shaped
 // like the schedule. A FIFO lane holds every entry scheduled for the

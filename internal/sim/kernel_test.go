@@ -209,10 +209,10 @@ func TestCloseKillsParkedProcesses(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for trial := 0; trial < 20; trial++ {
 		k := NewKernel()
-		ev := new(Event)
+		var q Queue
 		for i := 0; i < 10; i++ {
-			k.Spawn("waiter", func(p *Proc) { ev.Wait(p) }) // parks forever
-			k.Spawn("done", func(p *Proc) { p.Sleep(1) })   // returns; coroutine idles
+			k.Spawn("waiter", func(p *Proc) { q.Wait(p) }) // parks forever
+			k.Spawn("done", func(p *Proc) { p.Sleep(1) })  // returns; coroutine idles
 		}
 		if err := k.Run(1000); err != nil {
 			t.Fatal(err)
@@ -446,14 +446,17 @@ func TestEventWaitBeforeAndAfterFire(t *testing.T) {
 	defer k.Close()
 	e := new(Event)
 	var wokeAt []Time
-	k.Spawn("early", func(p *Proc) {
-		e.Wait(p)
-		wokeAt = append(wokeAt, p.Now())
+	woke := Func(func() { wokeAt = append(wokeAt, k.Now()) })
+	k.At(0, func() {
+		if e.Then(k, woke) {
+			t.Error("unfired event reported fired")
+		}
 	})
 	k.At(50, func() { e.Fire() })
-	k.SpawnAt(70, "late", func(p *Proc) {
-		e.Wait(p) // already fired: returns immediately
-		wokeAt = append(wokeAt, p.Now())
+	k.At(70, func() {
+		if e.Then(k, woke) { // already fired: goes on at once
+			woke()
+		}
 	})
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
@@ -471,7 +474,7 @@ func TestEventDoubleFireIsNoop(t *testing.T) {
 	defer k.Close()
 	e := new(Event)
 	woke := 0
-	k.Spawn("w", func(p *Proc) { e.Wait(p); woke++ })
+	e.Then(k, Func(func() { woke++ }))
 	k.At(10, func() { e.Fire(); e.Fire() })
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
@@ -750,17 +753,14 @@ func TestNegativeSleepPanics(t *testing.T) {
 }
 
 func TestWakeOrderingDeterministic(t *testing.T) {
-	// Multiple processes woken at the same instant resume in wake order.
+	// Multiple waiters woken at the same instant resume in wake order.
 	k := NewKernel()
 	defer k.Close()
 	e := new(Event)
 	var order []int
 	for i := 0; i < 8; i++ {
 		i := i
-		k.Spawn("w", func(p *Proc) {
-			e.Wait(p)
-			order = append(order, i)
-		})
+		e.Then(k, Func(func() { order = append(order, i) }))
 	}
 	k.At(10, func() { e.Fire() })
 	if err := k.RunAll(); err != nil {

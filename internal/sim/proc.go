@@ -15,7 +15,9 @@ var errKilled = errors.New("sim: process killed by kernel shutdown")
 // parks whenever it waits for simulated time to pass or for a Queue to be
 // signalled, handing control back to the kernel. At most one process runs
 // at a time. A Proc is the Action that every start and wake of it
-// schedules, so neither allocates.
+// schedules, so neither allocates. The simulated system runs no process:
+// only this package's tests and the repo benchmark's kernel
+// micro-benchmarks spawn one.
 type Proc struct {
 	k    *Kernel
 	name string
@@ -100,7 +102,7 @@ func (c *coro) run() (ok bool) {
 }
 
 // park suspends p until the event a wake scheduled for it is dispatched.
-// Only SleepUntil, Queue.Wait, Event.Wait and Facility.Use call it, each
+// Only SleepUntil, Queue.Wait and Facility.Use call it, each
 // after scheduling or registering exactly one wake.
 func (p *Proc) park() {
 	if !p.co.yield(struct{}{}) {

@@ -223,10 +223,9 @@ func TestEventThen(t *testing.T) {
 	defer k.Close()
 	var e Event
 	var log []stamp
-	k.Spawn("early", func(p *Proc) {
-		e.Wait(p)
-		log = append(log, stamp{t: p.Now(), id: 0})
-	})
+	if e.Then(k, &stepper{k: k, id: 0, log: &log}) {
+		t.Error("Then on an unfired event reported true")
+	}
 	k.At(5, func() {
 		if e.Then(k, &stepper{k: k, id: 1, log: &log}) {
 			t.Error("Then on an unfired event reported true")

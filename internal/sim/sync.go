@@ -1,10 +1,9 @@
 package sim
 
-// Queue is a FIFO of waiters: a parked process Waits on it, or a
-// continuation is Added to it, until another party Signals it. It is the
-// one way code outside this package parks and wakes processes, so each
-// wake reaches exactly the waiter that queued for it. The zero value is
-// an empty queue.
+// Queue is a FIFO of waiters: a continuation is Added to it, or a parked
+// process Waits on it, until another party Signals it. Each wake reaches
+// exactly the waiter that queued for it. The zero value is an empty
+// queue.
 type Queue struct {
 	k       *Kernel
 	waiters []Action
@@ -102,11 +101,10 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 // Len reports the number of queued (undelivered) messages.
 func (m *Mailbox[T]) Len() int { return len(m.items) - m.head }
 
-// Event is a one-shot completion: processes Wait, and continuations wait
-// through Then, until someone Fires it. Waits after the fire return
-// immediately. It models request/reply
-// rendezvous (e.g. a terminal waiting for a block to arrive). The zero
-// value is an unfired event.
+// Event is a one-shot completion: continuations wait through Then until
+// someone Fires it; Then after the fire reports true at once. It models
+// request/reply rendezvous (e.g. a server job waiting for its disk read).
+// The zero value is an unfired event.
 type Event struct {
 	fired   bool
 	waiters Queue
@@ -136,11 +134,4 @@ func (e *Event) Then(k *Kernel, a Action) bool {
 		e.waiters.Add(k, a)
 	}
 	return e.fired
-}
-
-// Wait blocks the calling process until the event fires.
-func (e *Event) Wait(p *Proc) {
-	if !e.Then(p.k, p) {
-		p.park()
-	}
 }

@@ -1,14 +1,19 @@
-// Package sim implements a deterministic, process-oriented discrete-event
-// simulation kernel in the style of CSIM (Schwetman 1990), the simulation
-// language the SPIFFI paper used.
+// Package sim implements a deterministic discrete-event simulation kernel
+// in the style of CSIM (Schwetman 1990), the simulation language the
+// SPIFFI paper used.
 //
-// Processes are coroutines (iter.Pull), so exactly one process (or the
-// kernel itself) ever runs at a time: a process that performs a simulation
-// wait parks its coroutine, handing control back to the kernel, and is
-// resumed by a calendar event.
-// All wake-ups flow through a single event calendar ordered by
-// (time, sequence number), so runs are bit-for-bit reproducible given
-// deterministic process logic and seeded random streams.
+// Every simulated component is an Action: a continuation the calendar
+// fires at the point where a CSIM process would have resumed. A wait is
+// a Schedule, or a registration on a Queue, Event or Facility that
+// schedules the Action when it is released, and each Action runs to
+// completion before the next. All wake-ups flow through a single event
+// calendar ordered by (time, sequence number), so runs are bit-for-bit
+// reproducible given deterministic component logic and seeded random
+// streams.
+//
+// Coroutine processes (Proc, Spawn) still run on the same calendar, but
+// only this package's tests and the repo benchmark's kernel
+// micro-benchmarks start them.
 package sim
 
 import (

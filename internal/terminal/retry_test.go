@@ -214,22 +214,26 @@ func TestRetryHugeBudgetNoPanic(t *testing.T) {
 // rejectingGate admits a terminal only after rejecting it a scripted
 // number of times — the admission NACK path without a controller.
 type rejectingGate struct {
+	k        *sim.Kernel
 	rejects  int
 	admits   int
 	releases int
 }
 
-func (g *rejectingGate) Admit(p *sim.Proc, terminal int) bool {
+// Admit rejects the next request after a zero-length wait while scripted
+// rejections remain, and admits it at once after that.
+func (g *rejectingGate) Admit(terminal int, done func(bool)) bool {
 	if g.rejects > 0 {
 		g.rejects--
+		g.k.At(g.k.Now(), func() { done(false) })
 		return false
 	}
 	g.admits++
 	return true
 }
 
-func (g *rejectingGate) AdmitFailover(p *sim.Proc, terminal int) bool {
-	return g.Admit(p, terminal)
+func (g *rejectingGate) AdmitFailover(terminal int, done func(bool)) bool {
+	return g.Admit(terminal, done)
 }
 
 func (g *rejectingGate) Release(terminal int) { g.releases++ }
@@ -242,6 +246,7 @@ func TestAdmissionRejectRetryLoop(t *testing.T) {
 	cfg.RandomInitialPosition = false
 	cfg.Admission = &rejectingGate{rejects: 3}
 	rig := newRig(t, cfg, 5*sim.Millisecond)
+	cfg.Admission.(*rejectingGate).k = rig.k
 	rig.term.Start(0)
 	// Three backoffs of at most 2x admitRetryDelay each, then a 30 s movie.
 	if err := rig.k.Run(sim.Time(90 * sim.Second)); err != nil {

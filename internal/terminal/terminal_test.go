@@ -271,9 +271,9 @@ type fakeGate struct {
 	calls  int
 }
 
-func (g *fakeGate) JoinOrLead(p *sim.Proc, term, video int) bool {
+func (g *fakeGate) JoinOrLead(a sim.Action, term, video int) bool {
 	g.calls++
-	p.Sleep(g.delay)
+	g.k.Schedule(g.k.Now().Add(g.delay), a)
 	return g.leader
 }
 
