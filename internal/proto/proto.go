@@ -43,6 +43,24 @@ func (s Status) String() string {
 }
 
 // BlockRequest asks a node for one stripe block of one video.
+//
+// Lifetime. A request is recycled through a FreeList, and exactly one
+// owner holds it at any time:
+//   - the free list;
+//   - the terminal, from Get until it sends the request (while the send
+//     latency runs, as its pending send);
+//   - the wire or the node, until the reply or NACK reaches the
+//     terminal's arrival handler;
+//   - the terminal's retry state, while a NACKed request waits to be
+//     resent.
+//
+// The terminal puts a request back only once a reply's outcome has been
+// applied: data, a stale reply, or a NACK that gave up or was
+// superseded. Any retry state still pointing at the request lets go of
+// it first. A timed-out request is never put back, because it may still
+// be on the wire; a request the network or a down node drops never comes
+// back and is left to the garbage collector. A merged forward is a
+// request too: the follower puts it back once the forward is applied.
 type BlockRequest struct {
 	Video    int
 	Block    int
@@ -89,3 +107,59 @@ func (r *BlockRequest) Via(hop func(*BlockRequest)) sim.Action {
 
 // Fire calls the hop set by the last Via.
 func (r *BlockRequest) Fire() { r.hop(r) }
+
+// FreeList recycles block requests, so a warm simulation sends blocks
+// without allocating. One list serves a whole simulation: every request
+// it hands out comes back to it, whichever terminal sent it. The zero
+// value is an empty list.
+type FreeList struct {
+	free []*BlockRequest
+}
+
+// Get returns a zeroed request, reusing one from the list when it holds
+// any.
+func (l *FreeList) Get() *BlockRequest {
+	n := len(l.free)
+	if n == 0 {
+		return new(BlockRequest)
+	}
+	r := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	if !r.Poisoned() {
+		panic("proto: block request written after it was put back")
+	}
+	*r = BlockRequest{}
+	return r
+}
+
+// Put poisons r and returns it to the list. Poisoning makes a use after
+// Put visible: the request names no video, block or terminal, firing it
+// panics, and Get panics if anything wrote to it meanwhile. Putting a
+// request back twice panics.
+func (l *FreeList) Put(r *BlockRequest) {
+	if r.Poisoned() {
+		panic("proto: block request put back twice")
+	}
+	*r = BlockRequest{
+		Video: -1, Block: -1, Size: -1, Deadline: -1, Terminal: -1,
+		Copy: -1, Attempt: -1, Status: -1, Issued: -1,
+		Deliver: usedAfterPut, hop: usedAfterPut,
+	}
+	l.free = append(l.free, r)
+}
+
+// Len reports how many requests the list holds.
+func (l *FreeList) Len() int { return len(l.free) }
+
+// Poisoned reports whether r reads as Put left it.
+func (r *BlockRequest) Poisoned() bool {
+	return r.Video == -1 && r.Block == -1 && r.Size == -1 && r.Deadline == -1 &&
+		r.Terminal == -1 && r.Copy == -1 && r.Attempt == -1 && r.Status == -1 &&
+		r.Issued == -1
+}
+
+// usedAfterPut is a poisoned request's Deliver and hop.
+func usedAfterPut(*BlockRequest) {
+	panic("proto: block request used after it was put back")
+}

@@ -414,13 +414,16 @@ func (j *job) step() bool {
 		}
 		return j.send(req.Size + proto.ReplyHeaderBytes)
 	}
-	// stageReply
+	// stageReply. The reply is the request's last use on the node: once
+	// it is on the wire the terminal may recycle it, so what the cache
+	// needs is read first.
+	video, block, size, primary := req.Video, req.Block, req.Size, req.Copy == 0
 	n.reply(req, j.bytes)
 	if j.pg != nil {
-		if n.cache != nil && req.Copy == 0 {
+		if n.cache != nil && primary {
 			// Fetch-through: prefix blocks enter the cache as they are
 			// served, so the next viewer of this video starts from memory.
-			n.cache.Insert(req.Video, req.Block, req.Size)
+			n.cache.Insert(video, block, size)
 		}
 		n.pool.Unpin(j.pg)
 	}

@@ -18,7 +18,7 @@ import (
 // credited once at resolution (data arrival or final abandonment),
 // however many attempts happen in between.
 type pendingReq struct {
-	req   *proto.BlockRequest // current (latest) attempt
+	req   *proto.BlockRequest // current (latest) attempt; nil once put back
 	vid   int
 	block int
 	size  int64
@@ -32,6 +32,12 @@ type pendingReq struct {
 	// accounting honors alongside clean first attempts. Blind retry
 	// rotation (failover disabled) never sets it.
 	redirected bool
+
+	// held marks a req that came back as a NACK and waits here, off the
+	// wire, for its resend, which sends the same request again. A req
+	// that timed out may still be on the wire, so its resend takes a
+	// fresh one.
+	held bool
 }
 
 // glitchCause labels why a block was abandoned.
@@ -65,12 +71,13 @@ func (t *Terminal) armTimeout(pr *pendingReq) {
 
 // retryOrGiveUp is the attempt-failed path (timeout or NACK): either
 // schedule the next attempt after an exponential backoff, or abandon the
-// block and record a glitch with its cause.
-func (t *Terminal) retryOrGiveUp(pr *pendingReq, cause glitchCause) {
+// block and record a glitch with its cause. It reports whether a retry
+// is scheduled.
+func (t *Terminal) retryOrGiveUp(pr *pendingReq, cause glitchCause) bool {
 	pr.gen++ // void the armed timer for the failed attempt
 	if pr.tries > t.cfg.MaxRetries {
 		t.loseBlock(pr.block, pr.size, cause)
-		return
+		return false
 	}
 	gen := pr.gen
 	t.k.After(t.backoffFor(pr.tries)+t.cfg.SendLatency, func() {
@@ -81,6 +88,7 @@ func (t *Terminal) retryOrGiveUp(pr *pendingReq, cause glitchCause) {
 		}
 		t.resend(pr)
 	})
+	return true
 }
 
 // backoffFor returns the exponential backoff before attempt tries+1:
@@ -134,8 +142,12 @@ func (t *Terminal) resend(pr *pendingReq) {
 	addr := t.place.LocateCopy(pr.vid, pr.block, copy)
 	pr.redirected = t.cfg.Failover && copy != 0 &&
 		t.cfg.Health.Suspect(t.place.Locate(pr.vid, pr.block).Node)
-	req := t.blockRequest(pr.vid, pr.block, pr.size, copy, attempt)
-	pr.req = req
+	req := pr.req
+	if !pr.held {
+		req = t.reqs.Get()
+	}
+	t.blockRequest(req, pr.vid, pr.block, pr.size, copy, attempt)
+	pr.req, pr.held = req, false
 	pr.node = addr.Node
 	t.send(addr.Node, req)
 	t.armTimeout(pr)

@@ -136,7 +136,7 @@ func stageCases() []stageCase {
 			ctl := admission.NewController(r.k, 1)
 			ctl.SetPatience(2 * sim.Second)
 			r.term.cfg.Admission = ctl
-			other := New(r.k, 1, r.term.cfg, r.lib, r.place, rng.New(5), r.send,
+			other := New(r.k, 1, r.term.cfg, r.lib, r.place, rng.New(5), r.send, nil,
 				func() int { return 1 }, func() bool { return true }, nil)
 			other.Start(0) // scheduled first, so it claims the slot
 		},
@@ -229,13 +229,14 @@ func (m *stageMerger) Pull(t *Terminal) (pulled bool) {
 		if t.BufferedBytes()+t.outstanding+m.inflight+size > t.cfg.MemBytes {
 			break
 		}
-		video, b := t.vid, m.next
+		req := t.reqs.Get()
+		req.Video, req.Block, req.Size = t.vid, m.next, size
 		m.next++
 		m.inflight += size
 		pulled = true
 		m.k.After(m.delay, func() {
 			m.inflight -= size
-			t.DeliverMerged(video, b, size)
+			t.ForwardHop()(req)
 		})
 	}
 	return pulled

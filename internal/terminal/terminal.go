@@ -67,7 +67,7 @@ type StartCoordinator interface {
 // the join block `from` — the terminal plays blocks [0, from) out of the
 // node prefix caches (fetched normally, served without disk I/O) and
 // receives every block from `from` on forwarded off the leader's reads
-// via DeliverMerged. Lead registers the terminal as a disk-streaming
+// through ForwardHop. Lead registers the terminal as a disk-streaming
 // leader others may merge onto; Advance reports any terminal's contiguous
 // receive frontier passing a block (a leader's paces its stream's
 // forwards, a follower's frees buffer room for more, everyone else's is
@@ -231,6 +231,10 @@ type Terminal struct {
 
 	// send ships a request to a node; wired by the simulation assembly.
 	send func(node int, req *proto.BlockRequest)
+	// reqs is the simulation's request free list: every request the
+	// terminal sends comes from it, and goes back to it once the reply
+	// is applied (see proto.BlockRequest for the lifetime rule).
+	reqs *proto.FreeList
 	// selectVideo draws the next movie (Zipf or uniform over the
 	// library); wired by the simulation assembly.
 	selectVideo func() int
@@ -241,8 +245,11 @@ type Terminal struct {
 	onStarted func()
 	// replied and arrive are onReply and applyArrival, bound once: every
 	// request carries replied, and a delayed receive re-schedules the
-	// request itself with arrive as its hop.
-	replied, arrive func(*proto.BlockRequest)
+	// request itself with arrive as its hop. forwarded and forwardArrive
+	// are the same pair for blocks forwarded off a merged stream, bound
+	// on first use, since most terminals never follow one.
+	replied, arrive          func(*proto.BlockRequest)
+	forwarded, forwardArrive func(*proto.BlockRequest)
 	// player and fetcher are runPlayer and runFetcher, bound once: each
 	// is the Action that every wake of its side of the terminal
 	// schedules or queues. admitted and readmitted are onAdmitted and
@@ -299,7 +306,7 @@ type Terminal struct {
 	stallFrame int      // the frame display runs dry at
 	pauseFrame int      // the frame display pauses at
 	pauseDur   sim.Duration
-	skim       skimState
+	skim       *skimState // nil until the terminal's first visual search
 
 	// sendReq, when non-nil, is the request the fetcher sends to
 	// sendNode once its send latency is over.
@@ -326,9 +333,10 @@ type Terminal struct {
 	jit *rng.Source
 }
 
-// New creates a terminal; Start sets it going. send, selectVideo,
-// measuring and onStarted wire the terminal into the simulation;
-// onStarted may be nil.
+// New creates a terminal; Start sets it going. send, reqs, selectVideo,
+// measuring and onStarted wire the terminal into the simulation: reqs is
+// the free list its requests come from and go back to (nil gives the
+// terminal a list of its own), and onStarted may be nil.
 func New(
 	k *sim.Kernel,
 	id int,
@@ -337,12 +345,16 @@ func New(
 	place *layout.Placement,
 	src *rng.Source,
 	send func(node int, req *proto.BlockRequest),
+	reqs *proto.FreeList,
 	selectVideo func() int,
 	measuring func() bool,
 	onStarted func(),
 ) *Terminal {
 	if cfg.MemBytes < place.BlockSize() {
 		panic(fmt.Sprintf("terminal: memory %d smaller than one block %d", cfg.MemBytes, place.BlockSize()))
+	}
+	if reqs == nil {
+		reqs = new(proto.FreeList)
 	}
 	t := &Terminal{
 		id:          id,
@@ -352,6 +364,7 @@ func New(
 		place:       place,
 		src:         src,
 		send:        send,
+		reqs:        reqs,
 		selectVideo: selectVideo,
 		measuring:   measuring,
 		onStarted:   onStarted,
@@ -597,15 +610,33 @@ func (t *Terminal) Unmerge() {
 	t.wakeOnArrival()
 }
 
-// DeliverMerged hands the terminal a block forwarded off its merged
-// stream's single disk read (kernel context; network delay already
-// paid by the forwarder).
-func (t *Terminal) DeliverMerged(video, block int, size int64) {
+// ForwardHop returns the hop of a block forwarded to this terminal off
+// its merged stream's single disk read, bound once per terminal. The
+// forwarder fills a request from the simulation's free list with the
+// block's video, index and size and sends it with req.Via(ForwardHop());
+// the terminal puts it back once the block is applied.
+func (t *Terminal) ForwardHop() func(*proto.BlockRequest) {
+	if t.forwarded == nil {
+		t.forwarded, t.forwardArrive = t.onForward, t.applyForward
+	}
+	return t.forwarded
+}
+
+// onForward receives a forwarded block (kernel context; network delay
+// already paid by the forwarder). The receive latency delays it as it
+// delays a reply.
+func (t *Terminal) onForward(req *proto.BlockRequest) {
 	if t.cfg.RecvLatency > 0 {
-		t.k.After(t.cfg.RecvLatency, func() { t.applyMerged(video, block, size) })
+		t.k.Schedule(t.k.Now().Add(t.cfg.RecvLatency), req.Via(t.forwardArrive))
 		return
 	}
-	t.applyMerged(video, block, size)
+	t.applyForward(req)
+}
+
+// applyForward applies a forwarded block and puts its request back.
+func (t *Terminal) applyForward(req *proto.BlockRequest) {
+	t.applyMerged(req.Video, req.Block, req.Size)
+	t.reqs.Put(req)
 }
 
 func (t *Terminal) applyMerged(video, block int, size int64) {
@@ -1097,7 +1128,7 @@ func (t *Terminal) issue(size int64) bool {
 			addr, copy = alt, 1
 		}
 	}
-	req := t.blockRequest(t.vid, b, size, copy, 0)
+	req := t.blockRequest(t.reqs.Get(), t.vid, b, size, copy, 0)
 	if t.cfg.SendLatency > 0 {
 		t.sendReq, t.sendNode = req, addr.Node
 		t.k.Schedule(t.k.Now().Add(t.cfg.SendLatency), t.fetcher)
@@ -1117,10 +1148,10 @@ func (t *Terminal) track(req *proto.BlockRequest, node int) {
 	}
 }
 
-// blockRequest builds one attempt's request for block b of video vid,
-// issued now and stamped with the block's display deadline.
-func (t *Terminal) blockRequest(vid, b int, size int64, copy, attempt int) *proto.BlockRequest {
-	return &proto.BlockRequest{
+// blockRequest fills req as one attempt's request for block b of video
+// vid, issued now and stamped with the block's display deadline.
+func (t *Terminal) blockRequest(req *proto.BlockRequest, vid, b int, size int64, copy, attempt int) *proto.BlockRequest {
+	*req = proto.BlockRequest{
 		Video:    vid,
 		Block:    b,
 		Size:     size,
@@ -1131,6 +1162,7 @@ func (t *Terminal) blockRequest(vid, b int, size int64, copy, attempt int) *prot
 		Deliver:  t.replied,
 		Issued:   t.k.Now(),
 	}
+	return req
 }
 
 // deadlineFor computes the §5.2.2 deadline: the display time of the first
@@ -1160,26 +1192,42 @@ func (t *Terminal) onReply(req *proto.BlockRequest) {
 	t.applyArrival(req)
 }
 
+// applyArrival applies a reply's outcome and then puts the request back
+// on the free list, unless its pendingReq keeps it to resend after a
+// NACK. A pendingReq still pointing at a request put back lets go of it.
 func (t *Terminal) applyArrival(req *proto.BlockRequest) {
+	pr := t.pending[req.Block]
+	if t.applyReply(req, pr) {
+		return
+	}
+	if pr != nil && pr.req == req {
+		pr.req = nil
+	}
+	t.reqs.Put(req)
+}
+
+// applyReply applies the outcome of the reply to req; pr is the block's
+// pendingReq, if any. It reports whether pr keeps the request: a NACK
+// whose retry is scheduled is resent as the same request.
+func (t *Terminal) applyReply(req *proto.BlockRequest, pr *pendingReq) (held bool) {
 	if t.cfg.Health != nil {
 		// Any reply — data, NACK, even a stale one — proves the sending
 		// node is alive.
 		t.cfg.Health.ReportOK(t.id, t.place.LocateCopy(req.Video, req.Block, req.Copy).Node)
 	}
-	pr := t.pending[req.Block]
 	live := pr != nil && pr.req == req && req.Video == t.vid
 	if t.cfg.RequestTimeout > 0 && !live {
 		// A reply from a superseded attempt (a retry was already issued),
 		// an already-resolved block, or a leftover from a previous movie:
 		// the retry machinery owns the accounting, nothing to do.
 		t.stats.StaleDrops++
-		return
+		return false
 	}
 	if req.Video != t.vid {
 		// Unreachable without the retry machinery (a movie only ends once
 		// every block arrived), but tolerate rather than crash.
 		t.stats.StaleDrops++
-		return
+		return false
 	}
 	if req.Status != proto.StatusOK {
 		// NACK: the block's disk is fail-stopped. Fail over to a replica
@@ -1189,10 +1237,10 @@ func (t *Terminal) applyArrival(req *proto.BlockRequest) {
 			// Timeouts disabled (direct fault injection in tests): no
 			// retry machinery, the block is simply lost.
 			t.loseBlock(req.Block, req.Size, causeDiskFail)
-			return
+			return false
 		}
-		t.retryOrGiveUp(pr, causeDiskFail)
-		return
+		pr.held = t.retryOrGiveUp(pr, causeDiskFail)
+		return pr.held
 	}
 	if live {
 		delete(t.pending, req.Block)
@@ -1227,6 +1275,7 @@ func (t *Terminal) applyArrival(req *proto.BlockRequest) {
 	t.admit(req.Block, req.Size)
 	t.rec.TermBuffer(t.id, t.BufferedBytes(), t.outstanding, t.frontierBlocks)
 	t.wakeOnArrival()
+	return false
 }
 
 // admit merges an arrived (or abandoned-hole) block into the stream

@@ -39,7 +39,7 @@ func newRig(t *testing.T, cfg Config, delay sim.Duration) *testRig {
 	}
 	measuring := func() bool { return true }
 	r.term = New(r.k, 0, cfg, lib, place, rng.New(3),
-		r.send,
+		r.send, nil,
 		func() int { return 0 },
 		measuring,
 		func() { r.started++ },
@@ -153,7 +153,7 @@ func TestWindowMaximaGatedByMeasuring(t *testing.T) {
 		k.After(delay, func() { req.Deliver(req) })
 	}
 	cfg := Config{MemBytes: 1024 * 1024, RandomInitialPosition: false}
-	term := New(k, 0, cfg, lib, place, rng.New(3), send,
+	term := New(k, 0, cfg, lib, place, rng.New(3), send, nil,
 		func() int { return 0 },
 		func() bool { return measuring },
 		nil)
@@ -201,7 +201,7 @@ func TestDeadlinesReflectBufferedPlaytime(t *testing.T) {
 		issued = append(issued, k.Now())
 		k.After(10*sim.Millisecond, func() { req.Deliver(req) })
 	}
-	term := New(k, 0, cfg, lib, place, rng.New(3), send,
+	term := New(k, 0, cfg, lib, place, rng.New(3), send, nil,
 		func() int { return 0 }, func() bool { return true }, nil)
 	term.Start(0)
 	if err := k.Run(sim.Time(10 * sim.Second)); err != nil {
@@ -321,7 +321,7 @@ func TestOutOfOrderArrivalAssembledContiguously(t *testing.T) {
 		k.After(d, func() { req.Deliver(req) })
 	}
 	cfg := Config{MemBytes: 1024 * 1024, RandomInitialPosition: false}
-	term := New(k, 0, cfg, lib, place, rng.New(3), send,
+	term := New(k, 0, cfg, lib, place, rng.New(3), send, nil,
 		func() int { return 0 }, func() bool { return true }, nil)
 	term.Start(0)
 	if err := k.Run(sim.Time(45 * sim.Second)); err != nil {

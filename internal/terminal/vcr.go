@@ -57,11 +57,15 @@ func (t *Terminal) drawSeeks() {
 // skimState is the visual search in progress: the next block it
 // samples, the signed stride to the one after, and the seek target it
 // stops at; req and done are the sampled block's request and its
-// arrival (or failsafe timeout).
+// arrival (or failsafe timeout), and seq numbers the sampled blocks so a
+// failsafe timer outliving its block fires nothing. reply is
+// onSkimReply, bound once: every skim request's Deliver.
 type skimState struct {
 	next, step, target int
 	req                *proto.BlockRequest
-	done               *sim.Event
+	done               sim.Event
+	seq                int
+	reply              func(*proto.BlockRequest)
 }
 
 // doSeek executes one rewind/fast-forward: optional visual-search skim,
@@ -101,8 +105,12 @@ func (t *Terminal) doSeek() playerStep {
 	t.rec.TermSeek(t.id, t.vid, target)
 
 	if vc.Skim && vc.SkimStrideBlocks > 0 && target != cur {
+		if t.skim == nil {
+			t.skim = &skimState{}
+			t.skim.reply = t.onSkimReply
+		}
 		step := vc.SkimStrideBlocks * dir
-		t.skim = skimState{next: cur + step, step: step, target: target}
+		t.skim.next, t.skim.step, t.skim.target = cur+step, step, target
 		return playerSkim
 	}
 	t.repositionTo(target)
@@ -114,21 +122,22 @@ func (t *Terminal) doSeek() playerStep {
 // block bypasses the playout buffer — it is shown immediately and
 // discarded, like a scrub preview.
 func (t *Terminal) skimNext() playerStep {
-	sk := &t.skim
+	sk := t.skim
 	if b := sk.next; !(sk.step > 0 && b < sk.target || sk.step < 0 && b > sk.target) {
 		t.repositionTo(sk.target)
 		return playerPrime
 	}
-	done := new(sim.Event)
 	segTime := sim.Duration(t.cfg.VCR.SkimSegmentFrames) * t.video.FramePeriod()
-	sk.done = done
-	sk.req = &proto.BlockRequest{
+	sk.done.Reset()
+	sk.seq++
+	sk.req = t.reqs.Get()
+	*sk.req = proto.BlockRequest{
 		Video:    t.vid,
 		Block:    sk.next,
 		Size:     t.place.SizeOfBlock(t.vid, sk.next),
 		Deadline: t.k.Now().Add(segTime),
 		Terminal: t.id,
-		Deliver:  func(*proto.BlockRequest) { done.Fire() },
+		Deliver:  sk.reply,
 		Issued:   t.k.Now(),
 	}
 	if t.cfg.SendLatency > 0 {
@@ -139,12 +148,18 @@ func (t *Terminal) skimNext() playerStep {
 
 // skimSend sends the sampled block's request and waits for it.
 func (t *Terminal) skimSend() playerStep {
-	sk := &t.skim
+	sk := t.skim
 	t.send(t.place.Locate(sk.req.Video, sk.req.Block).Node, sk.req)
 	if t.cfg.RequestTimeout > 0 {
 		// Failsafe under message loss: skim blocks are best-effort and
-		// not retried, but the player must not hang forever on one.
-		t.k.After(t.cfg.RequestTimeout*sim.Duration(t.cfg.MaxRetries+1), sk.done.Fire)
+		// not retried, but the player must not hang forever on one. The
+		// request is not put back: it may still be on the wire.
+		seq := sk.seq
+		t.k.After(t.cfg.RequestTimeout*sim.Duration(t.cfg.MaxRetries+1), func() {
+			if t.skim.seq == seq {
+				t.skim.done.Fire()
+			}
+		})
 	}
 	if !sk.done.Then(t.k, t.player) {
 		t.pstep = playerSkimShow
@@ -156,12 +171,22 @@ func (t *Terminal) skimSend() playerStep {
 // skimShow shows the sampled block's segment, then moves on to the next
 // sampled block.
 func (t *Terminal) skimShow() playerStep {
-	sk := &t.skim
+	sk := t.skim
 	t.stats.SkimBlocks++
 	sk.next += sk.step
-	sk.req, sk.done = nil, nil
+	sk.req = nil
 	segTime := sim.Duration(t.cfg.VCR.SkimSegmentFrames) * t.video.FramePeriod()
 	return t.sleepPlayer(t.k.Now().Add(segTime), playerSkim)
+}
+
+// onSkimReply is every skim request's Deliver: the reply ends the
+// request's trip, so it goes back on the free list, and the sampled block
+// it answers, if still awaited, is done.
+func (t *Terminal) onSkimReply(req *proto.BlockRequest) {
+	if req == t.skim.req {
+		t.skim.done.Fire()
+	}
+	t.reqs.Put(req)
 }
 
 // repositionTo moves the playback position to a block boundary and
