@@ -49,11 +49,13 @@ type Page struct {
 	// means the read died. Remaining Unpins on a defunct page are no-ops.
 	defunct bool
 
-	// refBy lists terminals that have demand-referenced this page while
-	// resident, for the paper's Figure 16 sharing statistic. Videos are
-	// shared by at most a handful of terminals at once, so a small slice
-	// beats a map.
-	refBy []int32
+	// firstRef and shared record the terminals that have
+	// demand-referenced this page while resident, for the paper's Figure
+	// 16 sharing statistic. firstRef is the first such terminal (-1 for
+	// none) and shared is set once a second, different one refers to it.
+	// That is all referencedByOther needs to know of the set.
+	firstRef int32
+	shared   bool
 
 	// Intrusive chain links managed by the replacement policy.
 	prev, next *Page
@@ -69,22 +71,16 @@ func (pg *Page) Prefetched() bool { return pg.prefetched }
 // referencedByOther reports whether any terminal other than t has
 // demand-referenced the page while resident.
 func (pg *Page) referencedByOther(t int) bool {
-	for _, r := range pg.refBy {
-		if int(r) != t {
-			return true
-		}
-	}
-	return false
+	return pg.shared || pg.firstRef >= 0 && int(pg.firstRef) != t
 }
 
 // noteReference records a demand reference by terminal t.
 func (pg *Page) noteReference(t int) {
-	for _, r := range pg.refBy {
-		if int(r) == t {
-			return
-		}
+	if pg.firstRef < 0 {
+		pg.firstRef = int32(t)
+	} else if int(pg.firstRef) != t {
+		pg.shared = true
 	}
-	pg.refBy = append(pg.refBy, int32(t))
 }
 
 // evictable reports whether the replacement policy may take this frame.

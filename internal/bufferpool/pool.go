@@ -77,6 +77,10 @@ type Pool struct {
 	// page is unpinned, so no caller still holds it, while a defunct
 	// page may still be held by its pinners.
 	spare []*Page
+	// slab holds pages never used yet, allocated pageSlab at a time as
+	// the pool first fills, so filling it costs one allocation per slab
+	// rather than one per frame.
+	slab []Page
 
 	rec  *trace.Recorder // nil unless tracing is enabled
 	node int             // owning node id, stamped into trace events
@@ -185,15 +189,29 @@ func (b *Pool) acquireResident(pg *Page, terminal int, prefetch bool) (*Page, Ou
 	return pg, InFlight
 }
 
+// pageSlab is how many pages insertNew allocates at once while the pool
+// fills.
+const pageSlab = 64
+
 func (b *Pool) insertNew(id PageID, terminal int, prefetch bool) *Page {
 	var pg *Page
 	if n := len(b.spare); n > 0 {
 		pg = b.spare[n-1]
 		b.spare = b.spare[:n-1]
-		*pg = Page{ID: id, state: stateFetching, pin: 1, refBy: pg.refBy[:0]}
 	} else {
-		pg = &Page{ID: id, state: stateFetching, pin: 1}
+		if len(b.slab) == 0 {
+			// No more pages than the free frames (this one included)
+			// could take before evictions supply spares.
+			b.slab = make([]Page, min(pageSlab, b.free+1))
+		}
+		pg = &b.slab[0]
+		b.slab = b.slab[1:]
 	}
+	// An evicted page's Ready has fired and released its waiters; reset,
+	// it keeps their backing array for the next fetch's waiters.
+	ready := pg.Ready
+	ready.Reset()
+	*pg = Page{ID: id, state: stateFetching, pin: 1, firstRef: -1, Ready: ready}
 	if prefetch {
 		b.rec.PoolPrefetch(b.node, terminal, id.Video, id.Block)
 	} else {

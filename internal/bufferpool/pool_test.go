@@ -481,3 +481,81 @@ func TestAcquireQueuesContinuationsFIFO(t *testing.T) {
 		t.Fatalf("alloc waits %d, evictions %d, want 3 and 3", s.AllocWaits, s.Evictions)
 	}
 }
+
+// Property: SharedRefs counts exactly the demand references to a page
+// that some other terminal demand-referenced while it was resident.
+// Random demand and prefetch references by four terminals over 12 blocks
+// in a 4-frame pool (so pages are evicted, fail and are reused) are
+// checked against a model that keeps each resident page's referrers as a
+// set.
+func TestSharedRefsMatchReferrerSets(t *testing.T) {
+	for _, kind := range []PolicyKind{PolicyGlobalLRU, PolicyLovePrefetch} {
+		f := func(ops []uint16) bool {
+			k := sim.NewKernel()
+			defer k.Close()
+			b := New(k, 4, kind.New())
+			refs := make(map[PageID]map[int]bool) // resident page -> its referrers
+			var shared int64
+			var fetching []*Page // pinned, their reads outstanding
+			for _, op := range ops {
+				if len(fetching) >= 3 || op%5 == 0 && len(fetching) > 0 {
+					// Finish the oldest read (one in 7 fails) so at least
+					// one frame can always be had.
+					pg := fetching[0]
+					fetching = fetching[1:]
+					if op%7 == 0 {
+						b.FetchFailed(pg)
+					} else {
+						b.FetchComplete(pg)
+					}
+					b.Unpin(pg)
+				}
+				prune(b, refs) // a failed read's page left the table
+				id := PageID{Video: int(op>>8) % 2, Block: int(op % 6)}
+				term, prefetch := int(op>>4)%4, op%3 == 0
+				if !prefetch {
+					if set := refs[id]; b.Contains(id) && set != nil {
+						for r := range set {
+							if r != term {
+								shared++
+								break
+							}
+						}
+					}
+				}
+				pg, out := b.Acquire(nil, id, term, prefetch)
+				if pg == nil {
+					return false // a frame was always free
+				}
+				prune(b, refs) // the acquire evicted a page
+				if refs[id] == nil {
+					refs[id] = make(map[int]bool)
+				}
+				if !prefetch {
+					refs[id][term] = true
+				}
+				if out == MustFetch {
+					fetching = append(fetching, pg)
+				} else {
+					b.Unpin(pg)
+				}
+				if b.Stats().SharedRefs != shared {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+	}
+}
+
+// prune drops the model's entries for pages no longer resident.
+func prune(b *Pool, refs map[PageID]map[int]bool) {
+	for id := range refs {
+		if !b.Contains(id) {
+			delete(refs, id)
+		}
+	}
+}
