@@ -8,7 +8,9 @@
 // disabled-path cost of a run is (emit count) x (nil-emit cost). The
 // emit count comes from a traced run of the same configuration, the
 // nil-emit cost from a measured loop, and their product must stay under
-// 2% of the untraced run's wall time.
+// 2% of the untraced run's wall time. Both timings are the minimum over
+// a few interleaved repetitions, so a burst of load on the host inflates
+// neither into the verdict.
 package spiffi_test
 
 import (
@@ -23,6 +25,10 @@ import (
 // nilRec lives at package scope so the compiler cannot specialize the
 // measured loop on a provably nil receiver.
 var nilRec *trace.Recorder
+
+// overheadReps is how many times the untraced run and the nil-emit loop
+// are each timed, alternately; the minimum of each is kept.
+const overheadReps = 5
 
 func TestTracingNeutralityAndOverhead(t *testing.T) {
 	cfg := fastConfig(12)
@@ -41,32 +47,40 @@ func TestTracingNeutralityAndOverhead(t *testing.T) {
 		t.Fatal("tracing enabled but no events were recorded")
 	}
 
-	cfg.Trace = spiffi.TraceOptions{}
-	start := time.Now()
-	plain, err := spiffi.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if plain.Trace != nil {
-		t.Fatal("tracing disabled but Metrics.Trace is non-nil")
-	}
-
-	// Neutrality: the recorder schedules no events and draws no random
-	// numbers, so every other metric must match exactly.
 	emits := traced.Trace.Total
 	traced.Trace = nil
-	if !reflect.DeepEqual(traced, plain) {
-		t.Errorf("tracing perturbed the simulation:\ntraced:   %+v\nuntraced: %+v", traced, plain)
-	}
 
-	// Overhead: measure the nil-emit cost and scale by the emit count.
+	cfg.Trace = spiffi.TraceOptions{}
 	const iters = 1 << 22
-	lap := time.Now()
-	for i := 0; i < iters; i++ {
-		nilRec.DiskDispatch(1, 2, 3, false, 4)
+	var elapsed time.Duration
+	perEmit := 0.0
+	for rep := 0; rep < overheadReps; rep++ {
+		start := time.Now()
+		plain, err := spiffi.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); rep == 0 || d < elapsed {
+			elapsed = d
+		}
+		if plain.Trace != nil {
+			t.Fatal("tracing disabled but Metrics.Trace is non-nil")
+		}
+		// Neutrality: the recorder schedules no events and draws no
+		// random numbers, so every other metric must match exactly.
+		if !reflect.DeepEqual(traced, plain) {
+			t.Fatalf("tracing perturbed the simulation:\ntraced:   %+v\nuntraced: %+v", traced, plain)
+		}
+
+		// The nil-emit cost, scaled by the emit count below.
+		lap := time.Now()
+		for i := 0; i < iters; i++ {
+			nilRec.DiskDispatch(1, 2, 3, false, 4)
+		}
+		if ns := float64(time.Since(lap).Nanoseconds()) / iters; rep == 0 || ns < perEmit {
+			perEmit = ns
+		}
 	}
-	perEmit := float64(time.Since(lap).Nanoseconds()) / iters
 	overheadNs := float64(emits) * perEmit
 	budgetNs := 0.02 * float64(elapsed.Nanoseconds())
 	t.Logf("disabled-path cost: %d emits x %.2f ns = %.0f µs against a %.0f µs budget (2%% of %v)",
