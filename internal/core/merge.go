@@ -2,7 +2,6 @@ package core
 
 import (
 	"spiffi/internal/terminal"
-	"spiffi/internal/trace"
 )
 
 // mergeLeadMargin is how many blocks ahead of the leader's play position
@@ -41,14 +40,10 @@ const mergeLeadMargin = 2
 // and every decision reads scalar state. The coordinator draws no
 // randomness and arms no timers.
 type mergeCoordinator struct {
+	s        *Simulation
 	maxJoin  int   // deepest allowed join gap (Cache.PrefixBlocks)
 	pace     int   // frontier lead required to forward: max(1, K - mergeLeadMargin)
 	memBytes int64 // follower playout-buffer size
-	nblocks  func(video int) int
-	sizeOf   func(video, block int) int64
-	prefixOK func(video, upto int) bool // blocks [0, upto) all cache-resident
-	forward  func(fol *terminal.Terminal, video, block int, size int64)
-	rec      *trace.Recorder
 
 	streams map[int]*mergeStream // in-flight lead streams by video
 	lead    map[*terminal.Terminal]*mergeStream
@@ -77,29 +72,20 @@ type mergeFollower struct {
 	inflight int64 // forwarded bytes not yet admitted into its buffer
 }
 
-func newMergeCoordinator(
-	maxJoin int,
-	memBytes, blockSize int64,
-	nblocks func(video int) int,
-	sizeOf func(video, block int) int64,
-	prefixOK func(video, upto int) bool,
-	forward func(fol *terminal.Terminal, video, block int, size int64),
-	rec *trace.Recorder,
-) *mergeCoordinator {
+// newMergeCoordinator builds the coordinator for s, whose placement,
+// caches and config it reads.
+func newMergeCoordinator(s *Simulation) *mergeCoordinator {
+	memBytes, blockSize := s.cfg.TerminalMemBytes, s.place.BlockSize()
 	pace := int(memBytes/blockSize) - mergeLeadMargin
 	if pace < 1 {
 		pace = 1
 	}
 	return &mergeCoordinator{
-		maxJoin:   maxJoin,
+		s:         s,
+		maxJoin:   s.cfg.Cache.PrefixBlocks,
 		pace:      pace,
 		memBytes:  memBytes,
 		blockSize: blockSize,
-		nblocks:   nblocks,
-		sizeOf:    sizeOf,
-		prefixOK:  prefixOK,
-		forward:   forward,
-		rec:       rec,
 		streams:   make(map[int]*mergeStream),
 		lead:      make(map[*terminal.Terminal]*mergeStream),
 		ride:      make(map[*terminal.Terminal]*mergeStream),
@@ -121,26 +107,26 @@ func (mc *mergeCoordinator) Lead(t *terminal.Terminal, video int) {
 
 // Offer asks to merge t onto an in-flight stream of video. On success
 // the follower plays [0, from) out of the node caches and receives
-// every block from `from` on via forward.
+// every block from `from` on via forwardMerged.
 func (mc *mergeCoordinator) Offer(t *terminal.Terminal, video int) (from int, ok bool) {
 	st := mc.streams[video]
 	if st == nil || mc.ride[t] != nil || mc.lead[t] != nil {
 		return 0, false
 	}
 	q := st.fwd
-	if q > mc.maxJoin || q >= mc.nblocks(video) {
+	if q > mc.maxJoin || q >= mc.s.place.NumBlocks(video) {
 		return 0, false // too far behind to catch up from the prefix
 	}
 	if int64(q+mergeLeadMargin+2)*mc.blockSize > mc.memBytes {
 		return 0, false // the catch-up gap cannot fit in the playout buffer
 	}
-	if !mc.prefixOK(video, q) {
+	if !mc.s.cachedPrefix(video, q) {
 		return 0, false // some prefix block would still need a disk read
 	}
 	st.followers = append(st.followers, &mergeFollower{t: t, from: q, next: q})
 	mc.ride[t] = st
 	mc.Merges++
-	mc.rec.MergeJoin(t.ID(), st.leader.ID(), video, q)
+	mc.s.rec.MergeJoin(t.ID(), st.leader.ID(), video, q)
 	return q, true
 }
 
@@ -165,7 +151,7 @@ func (mc *mergeCoordinator) Advance(t *terminal.Terminal, video, block int) {
 		for _, f := range st.followers {
 			if f.t == t {
 				if block >= f.from {
-					f.inflight -= mc.sizeOf(video, block)
+					f.inflight -= mc.s.place.SizeOfBlock(video, block)
 				}
 				mc.drainFollower(st, f)
 				return
@@ -202,11 +188,11 @@ func (mc *mergeCoordinator) Pull(t *terminal.Terminal) bool {
 // latency never overshoots it.
 func (mc *mergeCoordinator) drainFollower(st *mergeStream, f *mergeFollower) {
 	for f.next < st.frontier {
-		sz := mc.sizeOf(st.video, f.next)
+		sz := mc.s.place.SizeOfBlock(st.video, f.next)
 		if f.t.BufferedBytes()+f.t.Outstanding()+f.inflight+sz > mc.memBytes {
 			return
 		}
-		mc.forward(f.t, st.video, f.next, sz)
+		mc.s.forwardMerged(f.t, st.video, f.next, sz)
 		f.inflight += sz
 		f.next++
 		mc.MergedBlocks++

@@ -14,18 +14,18 @@ import (
 //
 // Every result a Runner produces is bit-identical to sequential
 // execution: results are keyed to (config, seed) rather than completion
-// order, and search decisions consume evaluations in exactly the
-// sequential order. Extra workers only add *speculative* evaluations
-// (parallel search probes, seed replications past a count's first
-// failure) whose outcomes the decision path may discard.
+// order, and a search evaluates one count at a time and consumes its
+// seeds in seed order. The only runs extra workers add are a search
+// count's seed replications past its first failure, which run alongside
+// the count's other seeds and which the search then discards.
 //
 // The pool bounds concurrent simulation executions, not goroutines:
 // every simulation a Runner's methods start, the lazy seed-by-seed runs
 // of a 1-worker search included, takes one of its slots. Nested fan-out
-// (a sweep of searches, each search probing in parallel) shares one
-// semaphore, so total simulation concurrency never exceeds Workers
-// however deep the nesting, and a 1-worker Runner runs one simulation
-// at a time.
+// (a sweep of searches, each running a count's seeds in parallel)
+// shares one semaphore, so total simulation concurrency never exceeds
+// Workers however deep the nesting, and a 1-worker Runner runs one
+// simulation at a time.
 type Runner struct {
 	workers int
 	sem     chan struct{}
@@ -33,7 +33,8 @@ type Runner struct {
 
 // NewRunner returns a pool executing at most `workers` simulations
 // concurrently; workers <= 0 selects GOMAXPROCS. A 1-worker runner
-// executes exactly the sequential evaluation set — no speculation.
+// executes exactly the sequential evaluation set: a search skips a
+// count's seeds past its first failure.
 func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -93,19 +94,4 @@ func (r *Runner) RunMany(cfgs []Config) ([]Metrics, error) {
 		}
 	}
 	return ms, nil
-}
-
-// specWidth returns how many search probes are worth evaluating
-// speculatively: enough concurrent probes to fill the pool given that
-// each probe replicates over `seeds` runs. One worker means no
-// speculation, reproducing the sequential search's exact execution set.
-func (r *Runner) specWidth(seeds int) int {
-	if seeds < 1 {
-		seeds = 1
-	}
-	w := r.workers / seeds
-	if w < 1 {
-		w = 1
-	}
-	return w
 }

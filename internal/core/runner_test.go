@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spiffi/internal/core"
@@ -31,7 +32,19 @@ func tracedSearch(t *testing.T, workers int, opt core.SearchOptions) (core.Searc
 		t.Fatalf("workers=%d: TotalRuns=%d < consumed Runs=%d", workers, res.TotalRuns, res.Runs)
 	}
 	if workers == 1 && res.TotalRuns != res.Runs {
-		t.Fatalf("1-worker search speculated: TotalRuns=%d Runs=%d", res.TotalRuns, res.Runs)
+		t.Fatalf("1-worker search ran unconsumed seeds: TotalRuns=%d Runs=%d", res.TotalRuns, res.Runs)
+	}
+	if workers > 1 {
+		// A parallel search runs every seed of each count it visits and
+		// no other count.
+		counts := map[string]bool{}
+		for _, line := range lines {
+			counts[strings.Fields(line)[1]] = true
+		}
+		if want := len(opt.Seeds) * len(counts); res.TotalRuns != want {
+			t.Fatalf("workers=%d: TotalRuns=%d, want %d seeds x %d visited counts",
+				workers, res.TotalRuns, len(opt.Seeds), len(counts))
+		}
 	}
 	res.TotalRuns = 0
 	return res, lines
@@ -57,7 +70,7 @@ func TestSearchParityAcrossWorkers(t *testing.T) {
 }
 
 // Same parity through the scan-down phase (lower bound already
-// glitching), which speculates downward instead of doubling.
+// glitching), which steps down instead of doubling.
 func TestSearchParityScanDown(t *testing.T) {
 	opt := searchOpts()
 	opt.Lo = 150 // far above capacity: Lo itself fails

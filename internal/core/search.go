@@ -53,44 +53,27 @@ type SearchResult struct {
 	// every replication — the paper's headline metric.
 	MaxTerminals int
 	// Runs counts the simulation executions consumed by the search's
-	// decision process. The parallel search consumes evaluations in
-	// exactly the sequential order, so Runs — like MaxTerminals and
-	// AtMax — is identical for every worker count.
+	// decision process: each count's seeds up to and including its first
+	// failure. Like MaxTerminals and AtMax, it is identical for every
+	// worker count.
 	Runs int
-	// TotalRuns additionally counts speculative executions the decision
-	// path never consumed: parallel probes that lost the race and seed
-	// replications past a count's first failure. TotalRuns equals Runs
-	// on a 1-worker runner and may exceed it otherwise.
+	// TotalRuns additionally counts the seed replications past a count's
+	// first failure, which a runner with more than one worker executes
+	// alongside the rest of the count. TotalRuns equals Runs on a
+	// 1-worker runner.
 	TotalRuns int
 	// AtMax holds the metrics of the passing runs at MaxTerminals, one
 	// per seed (utilization figures for the scaleup experiments).
 	AtMax []Metrics
 }
 
-// evalOutcome is the cached verdict for one terminal count. The
-// "consumed" view — pass/err plus the prefix of per-seed runs the
-// sequential search would have executed before deciding — is fixed at
-// execution time, so a count evaluated speculatively yields the same
-// verdict, trace lines and Runs increment when (if ever) the decision
-// path reaches it.
-type evalOutcome struct {
-	pass    bool
-	ms      []Metrics // all-seed metrics when passing, nil otherwise
-	traced  []Metrics // consumed prefix, for trace replay and Runs
-	err     error     // error the sequential search would hit, if any
-	counted bool      // consumed prefix already added to res.Runs
-}
-
-// searcher runs one FindMaxTerminals search: the decision logic walks
-// counts strictly sequentially, while ensure() lets the phases warm the
-// cache with speculative probes evaluated concurrently on the Runner.
+// searcher runs one FindMaxTerminals search: the walk visits counts
+// strictly sequentially and evaluates each count when it reaches it.
 type searcher struct {
-	r        *Runner
-	cfg      Config
-	opt      SearchOptions
-	res      SearchResult
-	cache    map[int]*evalOutcome
-	executed int
+	r   *Runner
+	cfg Config
+	opt SearchOptions
+	res SearchResult
 }
 
 func (s *searcher) config(terminals int, seed uint64) Config {
@@ -100,274 +83,119 @@ func (s *searcher) config(terminals int, seed uint64) Config {
 	return c
 }
 
-// fold derives a count's outcome from per-seed results supplied in seed
-// order, replaying the sequential decision: stop at the first error or
-// first glitching seed, pass only if every seed is glitch-free.
-func (s *searcher) fold(terminals int, get func(j int) (Metrics, error)) *evalOutcome {
-	out := &evalOutcome{}
-	for j, seed := range s.opt.Seeds {
+// eval runs one count's seed replications and consumes them as the
+// sequential search does: in seed order, charging each run to Runs and
+// tracing it, stopping at the first error or first glitching seed. It
+// returns the all-seed metrics when every seed is glitch-free and nil
+// otherwise.
+//
+// With more than one worker the count's seeds run all at once; a
+// 1-worker runner runs them lazily, seed by seed, so it skips the seeds
+// past a failure and executes exactly the sequential run set.
+func (s *searcher) eval(terminals int) ([]Metrics, error) {
+	seeds := s.opt.Seeds
+	get := func(j int) (Metrics, error) {
+		s.res.TotalRuns++
+		return s.r.Run(s.config(terminals, seeds[j]))
+	}
+	if s.r.workers > 1 {
+		cfgs := make([]Config, len(seeds))
+		for j, seed := range seeds {
+			cfgs[j] = s.config(terminals, seed)
+		}
+		ms, errs := s.r.runAll(cfgs)
+		s.res.TotalRuns += len(cfgs)
+		get = func(j int) (Metrics, error) { return ms[j], errs[j] }
+	}
+	var passed []Metrics
+	for j, seed := range seeds {
 		m, err := get(j)
 		if err != nil {
-			out.err = fmt.Errorf("run(terminals=%d seed=%d): %w", terminals, seed, err)
-			break
+			return nil, fmt.Errorf("run(terminals=%d seed=%d): %w", terminals, seed, err)
 		}
-		out.traced = append(out.traced, m)
-		if !m.GlitchFree() {
-			break
-		}
-		out.ms = append(out.ms, m)
-	}
-	out.pass = out.err == nil && len(out.ms) == len(s.opt.Seeds)
-	if !out.pass {
-		out.ms = nil
-	}
-	return out
-}
-
-// ensure evaluates every uncached count in the list, concurrently when
-// the pool allows. It performs no decision-making and no accounting
-// against the consumed-run trace; counts the decision path never visits
-// stay speculative.
-func (s *searcher) ensure(counts []int) {
-	var fresh []int
-	for _, t := range counts {
-		if _, ok := s.cache[t]; ok {
-			continue
-		}
-		dup := false
-		for _, f := range fresh {
-			if f == t {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			fresh = append(fresh, t)
-		}
-	}
-	if len(fresh) == 0 {
-		return
-	}
-	seeds := s.opt.Seeds
-	if s.r.workers == 1 {
-		// Execute lazily, seed by seed: fold's short-circuit then skips
-		// a count's remaining seeds after its first failure, so a
-		// 1-worker searcher performs exactly the sequential run set.
-		for _, t := range fresh {
-			s.cache[t] = s.fold(t, func(j int) (Metrics, error) {
-				s.executed++
-				return s.r.Run(s.config(t, seeds[j]))
-			})
-		}
-		return
-	}
-	cfgs := make([]Config, 0, len(fresh)*len(seeds))
-	for _, t := range fresh {
-		for _, seed := range seeds {
-			cfgs = append(cfgs, s.config(t, seed))
-		}
-	}
-	ms, errs := s.r.runAll(cfgs)
-	s.executed += len(cfgs)
-	for i, t := range fresh {
-		base := i * len(seeds)
-		s.cache[t] = s.fold(t, func(j int) (Metrics, error) {
-			return ms[base+j], errs[base+j]
-		})
-	}
-}
-
-// eval consumes the verdict for a count: on first consumption its run
-// prefix is charged to Runs and traced, exactly as the sequential search
-// would have done at this point in the walk.
-func (s *searcher) eval(terminals int) (bool, error) {
-	out, ok := s.cache[terminals]
-	if !ok {
-		s.ensure([]int{terminals})
-		out = s.cache[terminals]
-	}
-	if !out.counted {
-		out.counted = true
-		s.res.Runs += len(out.traced)
+		s.res.Runs++
 		if s.opt.Trace != nil {
-			for j, m := range out.traced {
-				s.opt.Trace("  eval terminals=%d seed=%d glitches=%d started=%v",
-					terminals, s.opt.Seeds[j], m.Glitches, m.Started)
-			}
+			s.opt.Trace("  eval terminals=%d seed=%d glitches=%d started=%v",
+				terminals, seed, m.Glitches, m.Started)
 		}
-	}
-	if out.err != nil {
-		return false, out.err
-	}
-	return out.pass, nil
-}
-
-// growChain predicts the next doubling probes assuming each one passes.
-// Lookahead is capped: probes past the first failing doubling are pure
-// waste, and the deeper the chain the bigger (and costlier) the runs, so
-// speculating more than a few doublings ahead loses more than it wins.
-func growChain(cur, hi, width int) []int {
-	if width > 4 {
-		width = 4
-	}
-	var out []int
-	for len(out) < width {
-		next := cur * 2
-		if next > hi {
-			next = hi
+		if !m.GlitchFree() {
+			return nil, nil
 		}
-		if next == cur {
-			break
-		}
-		out = append(out, next)
-		cur = next
+		passed = append(passed, m)
 	}
-	return out
-}
-
-// downChain predicts the next scan-down probes assuming each one fails.
-func downChain(lo, step, width int) []int {
-	var out []int
-	for len(out) < width && lo > step {
-		lo -= step
-		out = append(out, lo)
-	}
-	return out
-}
-
-// midTree collects the bisection decision tree: the next midpoint, then
-// both midpoints that could follow it, and so on. Whichever way the
-// verdicts fall, the consumed path is a root-to-leaf walk of this tree.
-// Depth is capped at 2 (the midpoint plus both possible successors):
-// only one root-to-leaf path is ever consumed, so a depth-d tree wastes
-// 2^d-1-d of its evaluations, and past depth 2 the waste outgrows the
-// extra overlap.
-func midTree(lo, hi, step, budget int) []int {
-	depth := 0
-	for (1<<(depth+1))-1 <= budget {
-		depth++
-	}
-	if depth > 2 {
-		depth = 2
-	}
-	var out []int
-	var collect func(lo, hi, d int)
-	collect = func(lo, hi, d int) {
-		if d == 0 || hi-lo <= step {
-			return
-		}
-		mid := (lo + hi) / 2 / step * step
-		if mid <= lo || mid >= hi {
-			return
-		}
-		out = append(out, mid)
-		collect(lo, mid, d-1)
-		collect(mid, hi, d-1)
-	}
-	collect(lo, hi, depth)
-	return out
+	return passed, nil
 }
 
 // FindMaxTerminals binary-searches the largest glitch-free terminal
-// count on the Step lattice, evaluating speculative probes concurrently
-// when the pool has idle workers. The result — including Runs — is
+// count on the Step lattice, one count at a time; extra workers run a
+// count's seeds concurrently. The result — including Runs — is
 // bit-identical for every worker count.
 func (r *Runner) FindMaxTerminals(cfg Config, opt SearchOptions) (SearchResult, error) {
 	opt = opt.withDefaults(cfg)
-	s := &searcher{r: r, cfg: cfg, opt: opt, cache: map[int]*evalOutcome{}}
+	s := &searcher{r: r, cfg: cfg, opt: opt}
 	err := s.search()
-	s.res.TotalRuns = s.executed
 	return s.res, err
 }
 
 func (s *searcher) search() error {
 	opt := s.opt
-	width := s.r.specWidth(len(opt.Seeds))
 
-	// Establish a failing upper bound and a passing lower bound.
+	// Establish a failing upper bound and a passing lower bound; atLo
+	// holds the passing metrics at lo.
 	lo, hi := opt.Lo, opt.Hi/opt.Step*opt.Step
-	okLo, err := s.eval(lo)
+	atLo, err := s.eval(lo)
 	if err != nil {
 		return err
 	}
-	if !okLo {
-		// Even the lower bound glitches: scan down to the floor,
-		// speculatively probing the next few lattice points down.
-		for lo > opt.Step {
-			if width > 1 {
-				s.ensure(downChain(lo, opt.Step, width))
-			}
+	if atLo == nil {
+		// Even the lower bound glitches: scan down to the floor.
+		for atLo == nil && lo > opt.Step {
 			lo -= opt.Step
-			ok, err := s.eval(lo)
-			if err != nil {
+			if atLo, err = s.eval(lo); err != nil {
 				return err
 			}
-			if ok {
-				break
-			}
 		}
-		if !s.cache[lo].pass {
-			s.res.MaxTerminals = 0
+		if atLo == nil {
 			return nil
 		}
 		hi = lo + opt.Step
 	} else {
-		// Grow exponentially until failure or cap, speculatively
-		// evaluating the next few doublings.
-		cur := lo
+		// Grow exponentially until failure or cap.
 		for {
-			if width > 1 {
-				s.ensure(growChain(cur, hi, width))
+			next := min(lo*2, hi)
+			if next == lo {
+				break // passed at the cap
 			}
-			next := cur * 2
-			if next > hi {
-				next = hi
-			}
-			if next == cur {
-				// Passed at the cap.
-				s.res.MaxTerminals = cur
-				s.res.AtMax = s.cache[cur].ms
-				return nil
-			}
-			ok, err := s.eval(next)
+			ms, err := s.eval(next)
 			if err != nil {
 				return err
 			}
-			if !ok {
-				lo, hi = cur, next
+			if ms == nil {
+				hi = next
 				break
 			}
-			cur = next
-			if cur >= hi {
-				s.res.MaxTerminals = cur
-				s.res.AtMax = s.cache[cur].ms
-				return nil
-			}
+			lo, atLo = next, ms
 		}
 	}
 
-	// Bisect (lo passes, hi fails) on the Step lattice, speculatively
-	// evaluating the tree of midpoints the walk could visit next.
+	// Bisect (lo passes, hi fails) on the Step lattice.
 	for hi-lo > opt.Step {
-		if width > 1 {
-			s.ensure(midTree(lo, hi, opt.Step, width))
-		}
 		mid := (lo + hi) / 2 / opt.Step * opt.Step
 		if mid <= lo || mid >= hi {
 			break
 		}
-		ok, err := s.eval(mid)
+		ms, err := s.eval(mid)
 		if err != nil {
 			return err
 		}
-		if ok {
-			lo = mid
+		if ms != nil {
+			lo, atLo = mid, ms
 		} else {
 			hi = mid
 		}
 	}
 	s.res.MaxTerminals = lo
-	s.res.AtMax = s.cache[lo].ms
+	s.res.AtMax = atLo
 	return nil
 }
 

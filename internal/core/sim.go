@@ -233,15 +233,7 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		s.piggy = newPiggyCoordinator(s.k, cfg.PiggybackDelay)
 	}
 	if cfg.Cache.Enabled() {
-		s.merge = newMergeCoordinator(
-			cfg.Cache.PrefixBlocks,
-			cfg.TerminalMemBytes, s.place.BlockSize(),
-			s.place.NumBlocks,
-			s.place.SizeOfBlock,
-			s.cachedPrefix,
-			s.forwardMerged,
-			s.rec,
-		)
+		s.merge = newMergeCoordinator(s)
 	}
 
 	if cfg.Workload.Enabled() {

@@ -108,9 +108,9 @@ func diffBlobs(t *testing.T, id string, seq, par [][]byte) {
 
 // Every registered experiment must produce byte-identical Result JSON
 // whatever the worker count: parallelism changes execution order and
-// adds speculative evaluations, but never the data. The workers=1 JSON
-// must also match its pinned digest in goldenPath, so a change that
-// moves any experiment's numbers fails here.
+// runs search seeds past a count's first failure, but never the data.
+// The workers=1 JSON must also match its pinned digest in goldenPath,
+// so a change that moves any experiment's numbers fails here.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy; fig09 coverage stays via TestDeterminismFig09Parallel")

@@ -53,9 +53,9 @@ func traceBlob(t *testing.T, workers int) []byte {
 }
 
 // The traced runs a search consumes — and therefore the exported JSONL
-// bytes — must be identical whatever the worker count. Speculative
-// probes record traces too, but only consumed results ever reach the
-// sink.
+// bytes — must be identical whatever the worker count. Seed
+// replications run past a count's first failure record traces too, but
+// only consumed results ever reach the sink.
 func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy; trace export determinism is also covered by internal/trace tests")

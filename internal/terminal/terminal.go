@@ -921,27 +921,34 @@ func (t *Terminal) drawPauses() {
 	if t.video.NumFrames() <= 0 {
 		return // degenerate empty video: nowhere to pause
 	}
-	n := t.poisson(pc.MeanPauses)
-	if n == 0 {
-		return
-	}
-	frames := make([]int, n)
-	for i := range frames {
-		frames[i] = t.src.Intn(t.video.NumFrames())
-	}
-	// Insertion sort (n is tiny) and deduplicate.
-	for i := 1; i < len(frames); i++ {
-		for j := i; j > 0 && frames[j] < frames[j-1]; j-- {
-			frames[j], frames[j-1] = frames[j-1], frames[j]
-		}
-	}
-	for i, fr := range frames {
-		if i > 0 && fr == t.pauseFrames[len(t.pauseFrames)-1] {
+	frames := t.drawFrames(t.pauseFrames, pc.MeanPauses)
+	// Deduplicate in place, drawing each kept pause's duration in order.
+	t.pauseFrames = frames[:0]
+	for _, fr := range frames {
+		if n := len(t.pauseFrames); n > 0 && fr == t.pauseFrames[n-1] {
 			continue
 		}
 		t.pauseFrames = append(t.pauseFrames, fr)
 		t.pauseDurs = append(t.pauseDurs, sim.Duration(t.src.Exp(float64(pc.MeanDuration))))
 	}
+}
+
+// drawFrames draws a Poisson(mean) number of uniformly random frames of
+// the current video into frames, which is passed empty to reuse its
+// storage, and sorts them ascending: the schedule draw shared by pauses
+// and seeks.
+func (t *Terminal) drawFrames(frames []int, mean float64) []int {
+	n := t.poisson(mean)
+	for i := 0; i < n; i++ {
+		frames = append(frames, t.src.Intn(t.video.NumFrames()))
+	}
+	// Insertion sort: n is tiny.
+	for i := 1; i < len(frames); i++ {
+		for j := i; j > 0 && frames[j] < frames[j-1]; j-- {
+			frames[j], frames[j-1] = frames[j-1], frames[j]
+		}
+	}
+	return frames
 }
 
 // --- fetcher ---

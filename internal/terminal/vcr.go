@@ -27,7 +27,7 @@ type VCRConfig struct {
 	SkimSegmentFrames int // frames displayed per sampled block
 }
 
-// drawSeeks samples this playback's seek schedule (mirrors drawPauses).
+// drawSeeks samples this playback's seek schedule.
 func (t *Terminal) drawSeeks() {
 	t.seekFrames = t.seekFrames[:0]
 	vc := t.cfg.VCR
@@ -43,15 +43,7 @@ func (t *Terminal) drawSeeks() {
 		// seek intensity by the current phase's boost factor.
 		mean *= t.cfg.SeekBoost()
 	}
-	n := t.poisson(mean)
-	for i := 0; i < n; i++ {
-		t.seekFrames = append(t.seekFrames, t.src.Intn(t.video.NumFrames()))
-	}
-	for i := 1; i < len(t.seekFrames); i++ {
-		for j := i; j > 0 && t.seekFrames[j] < t.seekFrames[j-1]; j-- {
-			t.seekFrames[j], t.seekFrames[j-1] = t.seekFrames[j-1], t.seekFrames[j]
-		}
-	}
+	t.seekFrames = t.drawFrames(t.seekFrames, mean)
 }
 
 // skimState is the visual search in progress: the next block it

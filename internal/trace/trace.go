@@ -19,7 +19,8 @@
 // run's event sequence depends only on (Config, seed). Second, traces
 // travel inside core.Metrics through the same index-keyed result
 // plumbing that makes parallel searches bit-identical: consumers only
-// ever see traces of *consumed* runs, never of speculative probes.
+// ever see traces of *consumed* runs, never of the seed replications a
+// parallel search runs past a count's first failure.
 //
 // When tracing is disabled every emit site calls a method on a nil
 // *Recorder, which returns immediately — a single predictable branch,
